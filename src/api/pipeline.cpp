@@ -186,45 +186,68 @@ Result<PipelineRun> SubmittedPipeline::wait() {
   return fut_.get();
 }
 
+namespace {
+
+// Append one stage's response to the run's stage list and fold it into
+// the run totals.
+void add_stage(PipelineRun& out, std::string kernel,
+               const kernels::BufferSpec& spec, Response resp) {
+  if (const auto c = resp.run.stats.cycles_opt(); c && out.total_cycles) {
+    *out.total_cycles += *c;
+  } else {
+    out.total_cycles.reset();  // a cycle-less stage voids the total
+  }
+  out.total_routed_operands += resp.run.stats.spu_routed_ops;
+  out.all_cache_hits = out.all_cache_hits && resp.cache_hit;
+  StageRun sr;
+  sr.kernel = std::move(kernel);
+  sr.response = std::move(resp);
+  sr.input_bytes = spec.input_bytes;
+  sr.output_bytes = spec.output_bytes;
+  out.stages.push_back(std::move(sr));
+}
+
+}  // namespace
+
+std::vector<runtime::KernelJob> Pipeline::chain(
+    const Validated& v, std::span<const uint8_t> input,
+    std::vector<std::vector<uint8_t>>& bufs) {
+  std::vector<runtime::KernelJob> jobs = v.jobs;
+  bufs.resize(jobs.size());
+  for (size_t s = 0; s < jobs.size(); ++s) {
+    bufs[s].assign(v.specs[s].output_bytes, 0);
+    jobs[s].buffers.input =
+        s == 0 ? input
+               : std::span<const uint8_t>(bufs[s - 1])
+                     .first(v.specs[s].input_bytes);
+    jobs[s].buffers.output = bufs[s];
+  }
+  return jobs;
+}
+
 Result<PipelineRun> Pipeline::run_untiled(Validated v) {
-  // -- Execute stage by stage (each stage depends on its predecessor) -------
+  // One chain: the engine runs the stages back to back on one worker, each
+  // reading (a prefix of) the buffer its predecessor wrote.
+  std::vector<std::vector<uint8_t>> bufs;
+  auto results =
+      session_->engine_.submit_chain(chain(v, input_, bufs)).get();
+
   PipelineRun out;
   out.stages.reserve(v.jobs.size());
   out.all_cache_hits = true;
   out.total_cycles = 0;
-  std::vector<uint8_t> upstream;              // previous stage's output
-  std::span<const uint8_t> feed = input_;     // what the next stage reads
-  for (size_t i = 0; i < v.jobs.size(); ++i) {
-    const std::string kernel = v.jobs[i].kernel;
-    const std::string context = stage_context(i, kernel);
-    std::vector<uint8_t> stage_out(v.specs[i].output_bytes);
-    v.jobs[i].buffers.input = feed.first(v.specs[i].input_bytes);
-    v.jobs[i].buffers.output = stage_out;
-    auto fut = session_->engine_.submit(std::move(v.jobs[i]));
+  for (size_t i = 0; i < results.size(); ++i) {
     // to_response maps a failed stage verification to kVerificationFailed,
     // so an ok() response here is bit-exact for the data the stage saw.
-    auto resp = detail::to_response(fut.get(), context);
+    auto resp = detail::to_response(std::move(results[i]),
+                                    stage_context(i, v.jobs[i].kernel));
     if (!resp.ok()) return resp.error();
-    if (const auto c = resp->run.stats.cycles_opt(); c && out.total_cycles) {
-      *out.total_cycles += *c;
-    } else {
-      out.total_cycles.reset();  // a cycle-less stage voids the total
-    }
-    out.total_routed_operands += resp->run.stats.spu_routed_ops;
-    out.all_cache_hits = out.all_cache_hits && resp->cache_hit;
-    StageRun sr;
-    sr.kernel = kernel;
-    sr.response = *std::move(resp);
-    sr.input_bytes = v.specs[i].input_bytes;
-    sr.output_bytes = v.specs[i].output_bytes;
-    out.stages.push_back(std::move(sr));
-    upstream = std::move(stage_out);
-    feed = upstream;
+    add_stage(out, v.jobs[i].kernel, v.specs[i], *std::move(resp));
   }
   if (!output_.empty()) {
-    std::copy(upstream.begin(), upstream.end(), output_.begin());
+    std::copy(bufs.back().begin(), bufs.back().end(), output_.begin());
   }
-  out.output = std::move(upstream);
+  out.output = std::move(bufs.back());
   return out;
 }
 
@@ -233,82 +256,46 @@ Result<PipelineRun> Pipeline::run_tiled(Validated v) {
   const size_t K = v.geom.tiles;        // tiles (exact fit; no tail)
   const size_t out_bytes = v.specs.back().output_bytes;
 
-  // Per-(stage, tile) output buffers and futures. Tile k's stage-s input
-  // aliases a prefix of bufs[s-1][k], so a job is submitted only after its
-  // predecessor tile settled — the wavefront order below enforces that.
-  std::vector<std::vector<std::vector<uint8_t>>> bufs(S);
-  std::vector<std::vector<std::future<runtime::JobResult>>> futs(S);
-  for (size_t s = 0; s < S; ++s) {
-    bufs[s].assign(K, std::vector<uint8_t>(v.specs[s].output_bytes));
-    futs[s].resize(K);
+  // One chain per tile: tile k's stages run in order on whichever worker
+  // picks the chain up, so stage s starts tile k the moment stage s-1
+  // finished it, with no round trip through this thread. bufs[k] holds
+  // the tile's per-stage outputs and must outlive its chain.
+  std::vector<std::vector<std::vector<uint8_t>>> bufs(K);
+  std::vector<std::future<std::vector<runtime::JobResult>>> futs;
+  futs.reserve(K);
+  for (size_t k = 0; k < K; ++k) {
+    const auto input =
+        input_.subspan(k * v.geom.input_stride, v.geom.tile_input_bytes);
+    futs.push_back(session_->engine_.submit_chain(chain(v, input, bufs[k])));
   }
-  std::vector<runtime::JobResultAccumulator> acc(S);
-  std::optional<ApiError> failure;
 
+  // Gather in tile order. Every chain is waited for, even after a
+  // failure, because each references buffers that die with this frame;
+  // the first failing tile's typed error is the run's.
   PipelineRun out;
   out.tiles = K;
   out.output.resize(K * out_bytes);
-
-  const auto submit_job = [&](size_t s, size_t k) {
-    runtime::KernelJob job = v.jobs[s];  // shared knobs, per-tile buffers
-    job.buffers.input =
-        s == 0 ? input_.subspan(k * v.geom.input_stride,
-                                v.geom.tile_input_bytes)
-               : std::span<const uint8_t>(bufs[s - 1][k])
-                     .first(v.specs[s].input_bytes);
-    job.buffers.output = bufs[s][k];
-    futs[s][k] = session_->engine_.submit(std::move(job));
-  };
-  // Wait for (s, k), fold it into the stage aggregate; on the first
-  // failure record the typed error and stop the wavefront.
-  const auto settle = [&](size_t s, size_t k) {
-    runtime::JobResult r = futs[s][k].get();
-    if (!r.ok || !r.run.verified) {
-      if (!failure) {
-        auto resp =
-            detail::to_response(std::move(r), stage_context(s, v.jobs[s].kernel));
-        failure = resp.error();
-      }
-      return;
-    }
-    acc[s].add(std::move(r));
-  };
-
-  // Stage 0 has no dependencies: every tile goes to the engine up front
-  // (a bounded queue turns this into backpressure), so the workers can
-  // spread the whole frame immediately.
-  for (size_t k = 0; k < K; ++k) submit_job(0, k);
-
-  // Then a wavefront over the (stage, tile) grid in diagonal order
-  // d = s + k: processing (s, k) first settles its predecessor (s-1, k) —
-  // submitted one diagonal earlier — then submits (s, k) itself, so stage
-  // s starts tile k as soon as stage s-1 finished it while stage s-1 is
-  // still working on tile k+1. The virtual row s == S settles the final
-  // stage and gathers its tile into place.
-  for (size_t d = 1; d < S + K && !failure; ++d) {
-    const size_t s_hi = std::min(d, S);
-    const size_t s_lo = std::max<size_t>(1, d >= K - 1 ? d - (K - 1) : 1);
-    for (size_t s = s_hi + 1; s-- > s_lo;) {
-      const size_t k = d - s;
-      settle(s - 1, k);
-      if (failure) break;
-      if (s == S) {
-        std::copy(bufs[S - 1][k].begin(), bufs[S - 1][k].end(),
-                  out.output.begin() + static_cast<ptrdiff_t>(k * out_bytes));
+  std::vector<runtime::JobResultAccumulator> acc(S);
+  std::optional<ApiError> failure;
+  for (size_t k = 0; k < K; ++k) {
+    auto results = futs[k].get();
+    for (size_t s = 0; s < results.size() && !failure; ++s) {
+      runtime::JobResult& r = results[s];
+      if (r.ok && r.run.verified) {
+        acc[s].add(std::move(r));
       } else {
-        submit_job(s, k);
+        failure = detail::to_response(std::move(r),
+                                      stage_context(s, v.jobs[s].kernel) +
+                                          ", tile " + std::to_string(k))
+                      .error();
       }
     }
-  }
-  if (failure) {
-    // Drain every in-flight tile before the buffers they reference die.
-    for (auto& stage : futs) {
-      for (auto& f : stage) {
-        if (f.valid()) f.get();
-      }
+    if (!failure) {
+      std::copy(bufs[k].back().begin(), bufs[k].back().end(),
+                out.output.begin() + static_cast<ptrdiff_t>(k * out_bytes));
     }
-    return *failure;
   }
+  if (failure) return *failure;
 
   out.all_cache_hits = true;
   out.total_cycles = 0;
@@ -322,19 +309,7 @@ Result<PipelineRun> Pipeline::run_tiled(Validated v) {
     resp->jobs_fanned_out = jobs;
     resp->tile_cache_hits = hits;
     resp->workers_used = workers;
-    if (const auto c = resp->run.stats.cycles_opt(); c && out.total_cycles) {
-      *out.total_cycles += *c;
-    } else {
-      out.total_cycles.reset();
-    }
-    out.total_routed_operands += resp->run.stats.spu_routed_ops;
-    out.all_cache_hits = out.all_cache_hits && resp->cache_hit;
-    StageRun sr;
-    sr.kernel = v.jobs[s].kernel;
-    sr.response = *std::move(resp);
-    sr.input_bytes = v.specs[s].input_bytes;
-    sr.output_bytes = v.specs[s].output_bytes;
-    out.stages.push_back(std::move(sr));
+    add_stage(out, v.jobs[s].kernel, v.specs[s], *std::move(resp));
   }
   if (!output_.empty()) {
     std::copy(out.output.begin(), out.output.end(), output_.begin());

@@ -100,9 +100,10 @@ class Pipeline {
 
   // Stream the pipeline tile by tile: the input frame is cut per the
   // *first* stage's tile geometry, and each tile then flows through the
-  // whole chain independently (the prefix rule applies per tile), so
-  // stage N+1 starts tile k as soon as stage N finishes it — stages
-  // overlap across tiles instead of running frame-at-a-time. Requires the
+  // whole chain independently (the prefix rule applies per tile): every
+  // tile is one engine chain, so stage N+1 starts tile k on the same
+  // worker the moment stage N finishes it, and tiles spread across the
+  // workers instead of running frame-at-a-time. Requires the
   // first stage's kernel to be tileable and the frame to tile *exactly*
   // (a partial tail tile cannot feed a downstream stage expecting a full
   // upstream tile); violations are kTilingUnsupported. Later stages need
@@ -110,8 +111,9 @@ class Pipeline {
   Pipeline& tile();
 
   // Validate the whole chain (every stage known, buffer-capable, sizes
-  // compatible), then execute the stages in order through the Session's
-  // engine. Any stage failure aborts the run with that stage's error.
+  // compatible), then execute the stages in order as one engine chain
+  // (BatchEngine::submit_chain). Any stage failure aborts the run with
+  // that stage's error.
   [[nodiscard]] Result<PipelineRun> run();
 
   // Validate here (errors surface synchronously), then run the pipeline
@@ -129,6 +131,12 @@ class Pipeline {
     runtime::TileGeometry geom;                    // meaningful when tiled
   };
   [[nodiscard]] Result<Validated> validate() const;
+  // The stage jobs of one chain over `input`: stage s writes bufs[s] and
+  // stage s+1 reads a prefix of it. bufs is (re)sized here and must
+  // outlive the chain.
+  [[nodiscard]] static std::vector<runtime::KernelJob> chain(
+      const Validated& v, std::span<const uint8_t> input,
+      std::vector<std::vector<uint8_t>>& bufs);
   [[nodiscard]] Result<PipelineRun> run_untiled(Validated v);
   [[nodiscard]] Result<PipelineRun> run_tiled(Validated v);
 

@@ -37,6 +37,9 @@ class Walker {
       : prog_(prog), spec_(spec), mem_(spec.mem_bytes),
         known_(spec.mem_bytes, true) {
     if (spec_.init) spec_.init(mem_);
+    // The post-init arena, before the walk writes anything: replays
+    // restore it instead of re-running init (see NativeTrace::image).
+    trace_.image = mem_.snapshot();
     for (const auto& r : spec_.data_regions) {
       if (r.addr + r.len > mem_.size() || r.addr + r.len < r.addr) {
         throw LoweringError("data region outside the arena");

@@ -100,8 +100,9 @@ struct LoweringSpec {
   uint64_t max_ops = 1ull << 23;      // dynamic-stream runaway guard
 
   // Deterministic arena initialisation (the kernel's init_memory). The
-  // trace is only valid for replays whose arena was initialised the same
-  // way; execute_native guarantees this by re-running init_memory.
+  // walker runs it once and captures the resulting arena as
+  // NativeTrace::image; the trace is only valid for replays that start
+  // from that image, which execute_native guarantees by restoring it.
   std::function<void(sim::Memory&)> init;
 
   // Byte ranges whose contents vary per execution (the BufferSpec input

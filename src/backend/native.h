@@ -86,11 +86,16 @@ struct NativeTrace {
   // (reported as KernelRun::stats.instructions for parity with the
   // simulator's accounting).
   uint64_t source_instructions = 0;
+  // The arena as LoweringSpec::init left it, captured before the walk.
+  // Restoring it (sim::Memory::restore) is equivalent to zeroing the arena
+  // and re-running init, at the cost of the pages involved only.
+  sim::MemoryImage image;
 };
 
-// Replay the trace. st.mem must be the arena the kernel's init_memory /
-// bind_input populated; st.regs should start zeroed (architectural reset
-// state, matching a fresh sim::Machine).
+// Replay the trace. st.mem must hold the trace's image (or, equivalently,
+// the arena the kernel's init_memory populated) plus any bind_input;
+// st.regs should start zeroed (architectural reset state, matching a
+// fresh sim::Machine).
 void run_trace(const NativeTrace& t, NativeState& st);
 
 // -- Lowering building blocks (used by lowering.cpp; exposed for tests) ------

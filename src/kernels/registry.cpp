@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cstdint>
+#include <iterator>
 #include <mutex>
 #include <stdexcept>
 #include <unordered_map>
@@ -19,25 +20,37 @@
 
 namespace subword::kernels {
 
-std::vector<std::unique_ptr<MediaKernel>> all_kernels() {
-  std::vector<std::unique_ptr<MediaKernel>> v;
-  v.push_back(std::make_unique<FirKernel>(12));
-  v.push_back(std::make_unique<FirKernel>(22));
-  v.push_back(std::make_unique<IirKernel>());
-  v.push_back(std::make_unique<FftKernel>(1024));
-  v.push_back(std::make_unique<FftKernel>(128));
-  v.push_back(std::make_unique<DctKernel>());
-  v.push_back(std::make_unique<MatMulKernel>());
-  v.push_back(std::make_unique<TransposeKernel>());
-  // Extended media suite (beyond the paper's Figure 9): the video-pipeline
-  // workloads from the comparative SIMD-scheduling literature.
-  v.push_back(std::make_unique<MotionEstKernel>());
-  v.push_back(std::make_unique<ColorConvertKernel>());
-  v.push_back(std::make_unique<Conv2dKernel>());
-  return v;
+namespace {
+
+using KernelFactory = std::unique_ptr<MediaKernel> (*)();
+
+template <typename K, auto... Args>
+std::unique_ptr<MediaKernel> construct() {
+  return std::make_unique<K>(Args...);
 }
 
-namespace {
+// Registry order. Constructing a kernel goes through this table, so a
+// lookup by name builds only the kernel it returns.
+constexpr KernelFactory kFactories[] = {
+    construct<FirKernel, 12>,
+    construct<FirKernel, 22>,
+    construct<IirKernel>,
+    construct<FftKernel, 1024>,
+    construct<FftKernel, 128>,
+    construct<DctKernel>,
+    construct<MatMulKernel>,
+    construct<TransposeKernel>,
+    // Extended media suite (beyond the paper's Figure 9): the
+    // video-pipeline workloads from the comparative SIMD-scheduling
+    // literature.
+    construct<MotionEstKernel>,
+    construct<ColorConvertKernel>,
+    construct<Conv2dKernel>,
+};
+
+std::unique_ptr<MediaKernel> kernel_at(size_t registry_index) {
+  return kFactories[registry_index]();
+}
 
 // A manual variant may be realizable under only some crossbar geometries
 // (the paper kernels target A, the extended ones D); MicroBuilder throws
@@ -114,7 +127,7 @@ struct KernelCaps {
 };
 
 std::vector<KernelCaps>& caps_table() {
-  static std::vector<KernelCaps> table(all_kernels().size());
+  static std::vector<KernelCaps> table(std::size(kFactories));
   return table;
 }
 
@@ -159,10 +172,17 @@ bool iequals(std::string_view a, std::string_view b) {
 
 }  // namespace
 
+std::vector<std::unique_ptr<MediaKernel>> all_kernels() {
+  std::vector<std::unique_ptr<MediaKernel>> v;
+  v.reserve(std::size(kFactories));
+  for (const KernelFactory make : kFactories) v.push_back(make());
+  return v;
+}
+
 bool KernelInfo::has_manual_spu() const {
   auto& caps = caps_table().at(registry_index);
   std::call_once(caps.manual_once, [&] {
-    caps.has_manual = probe_manual_spu(*all_kernels().at(registry_index));
+    caps.has_manual = probe_manual_spu(*kernel_at(registry_index));
   });
   return caps.has_manual;
 }
@@ -172,7 +192,7 @@ bool KernelInfo::native_backend() const {
   const bool has_manual = has_manual_spu();
   std::call_once(caps.native_once, [&] {
     caps.native_all =
-        probe_native_backend(*all_kernels().at(registry_index), has_manual);
+        probe_native_backend(*kernel_at(registry_index), has_manual);
   });
   return caps.native_all;
 }
@@ -189,7 +209,7 @@ bool KernelInfo::native_supported(bool use_spu, SpuMode mode,
   }
   // Probe outside the lock: probing is idempotent and may be slow, so a
   // racing duplicate probe beats serializing every combo behind one mutex.
-  const bool supported = probe_native_combo(*all_kernels().at(registry_index),
+  const bool supported = probe_native_combo(*kernel_at(registry_index),
                                             use_spu, mode, cfg);
   std::lock_guard lock(caps.combo_mu);
   return caps.combos.emplace(key, supported).first->second;
@@ -208,8 +228,8 @@ const KernelInfo* find_kernel_info(std::string_view name) {
 }
 
 std::unique_ptr<MediaKernel> make_kernel(const std::string& name) {
-  for (auto& k : all_kernels()) {
-    if (k->name() == name) return std::move(k);
+  for (const auto& info : kernel_infos()) {
+    if (info.name == name) return kernel_at(info.registry_index);
   }
   throw std::out_of_range("unknown kernel: " + name);
 }

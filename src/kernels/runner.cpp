@@ -179,7 +179,6 @@ KernelRun execute_native(const MediaKernel& k, const PreparedProgram& p,
   std::optional<sim::Memory> local;
   sim::Memory* mem;
   if (scratch != nullptr && scratch->size() == kMemBytes) {
-    scratch->clear();
     scratch->unmap_device();
     mem = scratch;
   } else {
@@ -187,7 +186,10 @@ KernelRun execute_native(const MediaKernel& k, const PreparedProgram& p,
     mem = &*local;
   }
 
-  k.init_memory(*mem);
+  // The post-init arena captured at lowering time stands in for
+  // clear() + init_memory(): only the pages the last job or the image
+  // touch are rewritten.
+  mem->restore(p.native->image);
   const bool bound_input = bound && !buffers->input.empty();
   if (bound_input) k.bind_input(*mem, buffers->input);
 

@@ -140,18 +140,24 @@ struct PreparedProgram {
 // Lower `p` onto the native backend and attach the op trace (the second
 // half of a kNativeSwar preparation). The kernel supplies the
 // deterministic arena initialisation and the caller-data window the
-// lowering proof is relative to (see backend/lowering.h). Throws
+// lowering proof is relative to (see backend/lowering.h); the trace keeps
+// the arena init_memory produced as its image, so executions restore it
+// instead of re-running init_memory. Throws
 // backend::LoweringError when the program cannot be proven replayable;
 // p is left unchanged then.
 void lower_native(const MediaKernel& k, PreparedProgram& p);
 
-// Replay a natively-lowered program (p.native must be set): arena
-// initialised and verified exactly as execute_prepared does, but the
-// program body runs as the pre-decoded host-SWAR trace — no cycle
-// simulation, so the returned stats carry instruction counts only. When
-// `scratch` is non-null and sized like the arena it is cleared and reused
-// (the batch runtime's per-worker native arena); it is the caller's
-// exclusive resource, exactly like execute_prepared's scratch Machine.
+// Replay a natively-lowered program (p.native must be set). The arena
+// starts as the post-init image lower_native captured (NativeTrace::image)
+// — init_memory does not run again — then inputs are bound and outputs
+// verified and copied back exactly as execute_prepared does. The program
+// body runs as the pre-decoded host-SWAR trace — no cycle simulation, so
+// the returned stats carry instruction counts only. When `scratch` is
+// non-null and sized like the arena it is restored from the image and
+// reused (the batch runtime's per-worker native arena); whatever the
+// caller wrote into it between calls is undone by the restore. It is the
+// caller's exclusive resource, exactly like execute_prepared's scratch
+// Machine.
 [[nodiscard]] KernelRun execute_native(const MediaKernel& k,
                                        const PreparedProgram& p,
                                        sim::Memory* scratch = nullptr,

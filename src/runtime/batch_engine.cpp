@@ -58,10 +58,53 @@ BatchEngine::BatchEngine(Options opts) {
 
 BatchEngine::~BatchEngine() { shutdown(); }
 
+void BatchEngine::Task::deliver(JobResult&& r) {
+  if (chain.empty()) {
+    std::get<0>(promise).set_value(std::move(r));
+  } else {
+    if (results.empty()) results.reserve(chain.size());
+    results.push_back(std::move(r));
+  }
+}
+
+void BatchEngine::Task::close() {
+  if (!chain.empty()) std::get<1>(promise).set_value(std::move(results));
+}
+
+void BatchEngine::Task::abandon(JobErrorKind kind, std::string error) {
+  JobResult r;
+  r.ok = false;
+  r.kind = kind;
+  r.error = std::move(error);
+  deliver(std::move(r));
+  close();
+}
+
 std::future<JobResult> BatchEngine::submit(KernelJob job) {
   Task task;
   task.job = std::move(job);
-  std::future<JobResult> fut = task.promise.get_future();
+  std::future<JobResult> fut = std::get<0>(task.promise).get_future();
+  enqueue(std::move(task));
+  return fut;
+}
+
+std::future<std::vector<JobResult>> BatchEngine::submit_chain(
+    std::vector<KernelJob> jobs) {
+  Task task;
+  auto& promise =
+      task.promise.emplace<std::promise<std::vector<JobResult>>>();
+  std::future<std::vector<JobResult>> fut = promise.get_future();
+  if (jobs.empty()) {
+    promise.set_value({});
+    return fut;
+  }
+  task.chain = std::move(jobs);
+  enqueue(std::move(task));
+  return fut;
+}
+
+void BatchEngine::enqueue(Task&& task) {
+  const size_t jobs = task.size();
   {
     std::unique_lock lock(mu_);
     // Admission control: shed instead of queueing once the depth threshold
@@ -69,14 +112,12 @@ std::future<JobResult> BatchEngine::submit(KernelJob job) {
     // race a concurrent push — the policy is exact, not advisory.
     if (accepting_ && shed_queue_depth_ != 0 &&
         queue_.size() >= shed_queue_depth_) {
-      ++agg_.jobs_shed;
-      JobResult r;
-      r.ok = false;
-      r.kind = JobErrorKind::kOverloaded;
-      r.error = "shed: engine queue depth " + std::to_string(queue_.size()) +
-                " >= shed threshold " + std::to_string(shed_queue_depth_);
-      task.promise.set_value(std::move(r));
-      return fut;
+      agg_.jobs_shed += jobs;
+      task.abandon(JobErrorKind::kOverloaded,
+                   "shed: engine queue depth " +
+                       std::to_string(queue_.size()) + " >= shed threshold " +
+                       std::to_string(shed_queue_depth_));
+      return;
     }
     if (queue_capacity_ != 0 && accepting_ &&
         queue_.size() >= queue_capacity_) {
@@ -98,27 +139,21 @@ std::future<JobResult> BatchEngine::submit(KernelJob job) {
       }
       agg_.submit_block_ns += now_ns() - b0;
       if (!room) {
-        ++agg_.jobs_shed;
-        JobResult r;
-        r.ok = false;
-        r.kind = JobErrorKind::kOverloaded;
-        r.error = "shed: blocked on a full queue (capacity " +
-                  std::to_string(queue_capacity_) + ") longer than " +
-                  std::to_string(shed_max_block_ns_) + " ns";
-        task.promise.set_value(std::move(r));
-        return fut;
+        agg_.jobs_shed += jobs;
+        task.abandon(JobErrorKind::kOverloaded,
+                     "shed: blocked on a full queue (capacity " +
+                         std::to_string(queue_capacity_) + ") longer than " +
+                         std::to_string(shed_max_block_ns_) + " ns");
+        return;
       }
     }
     if (!accepting_) {
-      ++agg_.jobs_rejected;
-      JobResult r;
-      r.ok = false;
-      r.kind = JobErrorKind::kRejected;
-      r.error = "submit after shutdown: engine is not accepting jobs";
-      task.promise.set_value(std::move(r));
-      return fut;
+      agg_.jobs_rejected += jobs;
+      task.abandon(JobErrorKind::kRejected,
+                   "submit after shutdown: engine is not accepting jobs");
+      return;
     }
-    ++agg_.jobs_submitted;
+    agg_.jobs_submitted += jobs;
     task.enqueue_ns = now_ns();
     queue_.push_back(std::move(task));
     queue_depth_.store(queue_.size(), std::memory_order_relaxed);
@@ -126,7 +161,6 @@ std::future<JobResult> BatchEngine::submit(KernelJob job) {
         std::max(agg_.queue_peak_depth, static_cast<uint64_t>(queue_.size()));
   }
   cv_.notify_one();
-  return fut;
 }
 
 std::vector<JobResult> BatchEngine::run_batch(std::vector<KernelJob> jobs) {
@@ -171,16 +205,12 @@ void BatchEngine::cancel() {
   cv_.notify_all();
   cv_space_.notify_all();
   for (auto& task : dropped) {
-    JobResult r;
-    r.ok = false;
-    r.kind = JobErrorKind::kCancelled;
-    r.error = "cancelled";
     {
       std::lock_guard lock(mu_);
-      ++agg_.jobs_completed;
-      ++agg_.jobs_failed;
+      agg_.jobs_completed += task.size();
+      agg_.jobs_failed += task.size();
     }
-    task.promise.set_value(std::move(r));
+    task.abandon(JobErrorKind::kCancelled, "cancelled");
   }
   shutdown();
 }
@@ -213,11 +243,26 @@ void BatchEngine::worker_loop(int worker_id) {
       task = std::move(queue_.front());
       queue_.pop_front();
       queue_depth_.store(queue_.size(), std::memory_order_relaxed);
-      agg_.queue_wait_ns += now_ns() - task.enqueue_ns;
+      agg_.queue_wait_ns += (now_ns() - task.enqueue_ns) * task.size();
     }
     if (queue_capacity_ != 0) cv_space_.notify_one();
-    JobResult result = run_job(task.job, worker_id, scratch);
-    finish(std::move(task), std::move(result));
+    // A chain stops at its first job that fails or does not verify: the
+    // jobs after it would consume that job's output.
+    const size_t n = task.size();
+    size_t ran = 0;
+    while (ran < n) {
+      JobResult result = run_job(task.at(ran++), worker_id, scratch);
+      const bool stop = !result.ok || !result.run.verified;
+      account(result);
+      task.deliver(std::move(result));
+      if (stop) break;
+    }
+    if (ran < n) {
+      std::lock_guard lock(mu_);
+      agg_.jobs_completed += n - ran;
+      agg_.jobs_failed += n - ran;
+    }
+    task.close();
   }
 }
 
@@ -334,19 +379,16 @@ JobResult BatchEngine::run_job(const KernelJob& job, int worker_id,
   return r;
 }
 
-void BatchEngine::finish(Task&& task, JobResult&& result) {
-  {
-    std::lock_guard lock(mu_);
-    ++agg_.jobs_completed;
-    if (!result.ok) ++agg_.jobs_failed;
-    // Native-backend runs carry no cycle model (has_cycles=false); only
-    // genuine simulator cycles may enter the aggregate.
-    if (result.run.stats.has_cycles) {
-      agg_.cycles_simulated += result.run.stats.cycles;
-    }
-    agg_.instructions_retired += result.run.stats.instructions;
+void BatchEngine::account(const JobResult& result) {
+  std::lock_guard lock(mu_);
+  ++agg_.jobs_completed;
+  if (!result.ok) ++agg_.jobs_failed;
+  // Native-backend runs carry no cycle model (has_cycles=false); only
+  // genuine simulator cycles may enter the aggregate.
+  if (result.run.stats.has_cycles) {
+    agg_.cycles_simulated += result.run.stats.cycles;
   }
-  task.promise.set_value(std::move(result));
+  agg_.instructions_retired += result.run.stats.instructions;
 }
 
 }  // namespace subword::runtime

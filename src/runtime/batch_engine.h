@@ -6,6 +6,13 @@
 // program construction and orchestrator analysis — goes through a shared
 // OrchestrationCache, so the expensive half runs once per unique
 // configuration regardless of request volume or worker count.
+//
+// Chains: submit_chain() queues an ordered list of jobs as ONE unit. The
+// chain occupies one queue slot, is admitted, shed, rejected or cancelled
+// as a whole, and runs start to finish on one worker, so job i may read
+// the output buffer job i-1 writes (a pipeline stage chain) without any
+// round trip through the submitter. It stops at the first job that fails
+// or does not verify. submit() is a chain of one on the same path.
 #pragma once
 
 #include <atomic>
@@ -17,6 +24,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include "kernels/runner.h"
@@ -85,6 +93,9 @@ struct JobResult {
 
 // Aggregate view over a finished batch (or the engine's lifetime).
 struct EngineStats {
+  // Every job of a chain counts in the jobs_* counters. Jobs a chain
+  // skips after a failed job count as completed and failed, like cancelled
+  // ones, so jobs_completed catches up with jobs_submitted.
   uint64_t jobs_submitted = 0;
   uint64_t jobs_completed = 0;
   uint64_t jobs_failed = 0;
@@ -92,13 +103,14 @@ struct EngineStats {
   uint64_t cycles_simulated = 0;
   uint64_t instructions_retired = 0;
   // -- Contention audit (what flattens worker scaling, and where) ----------
-  // Time jobs spent queued (enqueue -> dequeue, summed): rises with load
-  // or with too few workers. queue_peak_depth is the deepest the single
-  // queue ever got; submit_block_ns is time submitters spent blocked on a
-  // full bounded queue (queue_capacity > 0 only — backpressure, not a
-  // failure). scratch_*_allocs count per-worker Machine/arena
-  // constructions: they must plateau at the worker count, anything more
-  // means the reset-not-reallocate economy broke.
+  // Time jobs spent queued (enqueue -> dequeue, summed; each job of a
+  // chain waited as long as its chain): rises with load or with too few
+  // workers. queue_peak_depth is the deepest the single queue ever got, in
+  // slots (a chain is one); submit_block_ns is time submitters spent
+  // blocked on a full bounded queue (queue_capacity > 0 only —
+  // backpressure, not a failure). scratch_*_allocs count per-worker
+  // Machine/arena constructions: they must plateau at the worker count,
+  // anything more means the reset-not-reallocate economy broke.
   uint64_t queue_wait_ns = 0;
   uint64_t queue_peak_depth = 0;
   uint64_t submit_block_ns = 0;
@@ -114,20 +126,20 @@ struct EngineStats {
 struct BatchEngineOptions {
   int workers = 0;  // 0: hardware_concurrency (at least 1)
   // Bounds the job queue: submit() blocks (backpressure) while
-  // `queue_capacity` jobs are already waiting, instead of growing the
-  // queue without limit. 0: unbounded. Shutdown wakes blocked submitters,
-  // whose jobs then resolve as rejected.
+  // `queue_capacity` slots (jobs or chains) are already waiting, instead
+  // of growing the queue without limit. 0: unbounded. Shutdown wakes
+  // blocked submitters, whose jobs then resolve as rejected.
   int queue_capacity = 0;
   // Shared cache; when null the engine owns a private one. Sharing one
   // cache across engines models several service replicas amortizing the
   // same orchestrations.
   std::shared_ptr<OrchestrationCache> cache;
   // -- Admission control (load shedding) ------------------------------------
-  // When nonzero, a submission that finds `shed_queue_depth` jobs already
-  // queued is rejected immediately with JobErrorKind::kOverloaded instead
-  // of growing the queue (or blocking on a full bounded one). This is what
-  // lets a serving layer fail fast under overload rather than stalling its
-  // sockets on backpressure.
+  // When nonzero, a submission that finds `shed_queue_depth` slots (jobs
+  // or chains) already queued is rejected immediately with
+  // JobErrorKind::kOverloaded instead of growing the queue (or blocking
+  // on a full bounded one). This is what lets a serving layer fail fast
+  // under overload rather than stalling its sockets on backpressure.
   int shed_queue_depth = 0;
   // With a bounded queue (queue_capacity > 0): the longest one submission
   // may block on backpressure before being shed with kOverloaded.
@@ -161,6 +173,14 @@ class BatchEngine {
   // kind=JobErrorKind::kRejected.
   std::future<JobResult> submit(KernelJob job);
 
+  // Enqueue `jobs` as one chain (see the file comment). The future holds
+  // the results of the jobs that ran, in order; the last one stopped the
+  // chain early when it is not ok or not verified. A chain that never ran
+  // (rejected, shed, cancelled) resolves with one result carrying that
+  // kind; an empty chain resolves with no results. Jobs may reference
+  // buffers an earlier job of the same chain writes.
+  std::future<std::vector<JobResult>> submit_chain(std::vector<KernelJob> jobs);
+
   // Convenience: submit everything, wait for everything, preserve order.
   [[nodiscard]] std::vector<JobResult> run_batch(std::vector<KernelJob> jobs);
 
@@ -175,11 +195,12 @@ class BatchEngine {
 
   [[nodiscard]] int workers() const { return static_cast<int>(threads_.size()); }
 
-  // Live queue depth, readable without taking the queue mutex: an atomic
-  // snapshot maintained at every push/pop. This is what admission-control
-  // policies poll per request — EngineStats::queue_peak_depth is only the
-  // after-the-fact high-water mark, and stats() costs a mutex round trip.
-  // The value may be momentarily stale (a concurrent push/pop), never torn.
+  // Live queue depth in slots (a chain is one), readable without taking
+  // the queue mutex: an atomic snapshot maintained at every push/pop.
+  // This is what admission-control policies poll per request —
+  // EngineStats::queue_peak_depth is only the after-the-fact high-water
+  // mark, and stats() costs a mutex round trip. The value may be
+  // momentarily stale (a concurrent push/pop), never torn.
   [[nodiscard]] size_t queue_depth() const {
     return queue_depth_.load(std::memory_order_relaxed);
   }
@@ -190,10 +211,29 @@ class BatchEngine {
   [[nodiscard]] EngineStats stats() const;
 
  private:
+  // One queue slot. A single job is held inline (`chain` empty), so
+  // submit() allocates nothing beyond its promise; a chain holds its jobs
+  // in `chain` and collects their results until close().
   struct Task {
     KernelJob job;
-    std::promise<JobResult> promise;
+    std::vector<KernelJob> chain;
+    std::variant<std::promise<JobResult>,
+                 std::promise<std::vector<JobResult>>>
+        promise;
+    std::vector<JobResult> results;
     uint64_t enqueue_ns = 0;  // queue-wait accounting
+
+    [[nodiscard]] size_t size() const {
+      return chain.empty() ? 1 : chain.size();
+    }
+    [[nodiscard]] const KernelJob& at(size_t i) const {
+      return chain.empty() ? job : chain[i];
+    }
+    // Hand over one job's result; close() resolves a chain's future.
+    void deliver(JobResult&& r);
+    void close();
+    // Resolve a task that never ran with one result carrying `kind`.
+    void abandon(JobErrorKind kind, std::string error);
   };
 
   // Per-worker reusable execution state: the simulator's Machine and the
@@ -203,10 +243,13 @@ class BatchEngine {
     std::unique_ptr<sim::Memory> arena;
   };
 
+  // Admission control, then the queue. Resolves `task` as shed or
+  // rejected instead when it may not enter.
+  void enqueue(Task&& task);
   void worker_loop(int worker_id);
   [[nodiscard]] JobResult run_job(const KernelJob& job, int worker_id,
                                   WorkerScratch& scratch);
-  void finish(Task&& task, JobResult&& result);
+  void account(const JobResult& result);
 
   std::shared_ptr<OrchestrationCache> cache_;
   std::vector<std::thread> threads_;

@@ -44,8 +44,11 @@ void HistoryTable::record(const HistoryKey& key, double value) {
   std::lock_guard writer(cell->writer);
 
   // Enter the write critical section: odd seq tells lock-free readers the
-  // payload is in flux and their snapshot must be retried.
-  cell->seq.fetch_add(1, std::memory_order_release);
+  // payload is in flux and their snapshot must be retried. The release
+  // fence keeps the payload stores below from being reordered before the
+  // increment (a release RMW alone orders only what precedes it).
+  cell->seq.fetch_add(1, std::memory_order_relaxed);
+  std::atomic_thread_fence(std::memory_order_release);
 
   // Welford's online aggregate.
   const uint64_t n0 = cell->count.load(std::memory_order_relaxed);
@@ -109,9 +112,7 @@ std::optional<HistoryStats> HistoryTable::lookup(const HistoryKey& key) const {
     if (it == map_.end()) return std::nullopt;
     cell = it->second;
   }
-  for (int attempt = 0; attempt < 1000; ++attempt) {
-    const uint64_t s0 = cell->seq.load(std::memory_order_acquire);
-    if (s0 & 1) continue;  // write in flight
+  const auto copy = [&cell] {
     HistoryStats out;
     out.count = cell->count.load(std::memory_order_relaxed);
     const double m2 = cell->m2.load(std::memory_order_relaxed);
@@ -119,23 +120,28 @@ std::optional<HistoryStats> HistoryTable::lookup(const HistoryKey& key) const {
     out.drift_watermark =
         cell->drift_watermark.load(std::memory_order_relaxed);
     out.invalidations = cell->invalidations.load(std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_acquire);
-    if (cell->seq.load(std::memory_order_relaxed) != s0) continue;
     out.variance =
         out.count > 1 ? m2 / static_cast<double>(out.count - 1) : 0.0;
     return out;
+  };
+  // A cell is published into the map before its first record() writes it,
+  // so a consistent snapshot may still be empty: that key was never
+  // recorded, as far as this reader can tell.
+  const auto finish = [](const HistoryStats& out) {
+    return out.count == 0 ? std::nullopt : std::optional<HistoryStats>(out);
+  };
+  for (int attempt = 0; attempt < 1000; ++attempt) {
+    const uint64_t s0 = cell->seq.load(std::memory_order_acquire);
+    if (s0 & 1) continue;  // write in flight
+    const HistoryStats out = copy();
+    std::atomic_thread_fence(std::memory_order_acquire);
+    if (cell->seq.load(std::memory_order_relaxed) != s0) continue;
+    return finish(out);
   }
   // Pathological writer livelock (not expected in practice): fall back to
   // serializing with the writer for a guaranteed-consistent read.
   std::lock_guard writer(cell->writer);
-  HistoryStats out;
-  out.count = cell->count.load(std::memory_order_relaxed);
-  const double m2 = cell->m2.load(std::memory_order_relaxed);
-  out.mean = cell->mean.load(std::memory_order_relaxed);
-  out.drift_watermark = cell->drift_watermark.load(std::memory_order_relaxed);
-  out.invalidations = cell->invalidations.load(std::memory_order_relaxed);
-  out.variance = out.count > 1 ? m2 / static_cast<double>(out.count - 1) : 0.0;
-  return out;
+  return finish(copy());
 }
 
 size_t HistoryTable::size() const {

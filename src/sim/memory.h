@@ -2,11 +2,21 @@
 //
 // The SPU control registers are memory-mapped (paper §3/§4); devices
 // register an address window and receive the stores/loads that hit it.
+//
+// The arena tracks, one bit per 4 KiB page, which pages may hold non-zero
+// bytes: every arena write (write8/16/32/64 and write_span) marks the
+// pages it touches. That is what lets clear() zero only the marked pages,
+// and restore() reset an arena to a captured MemoryImage by touching only
+// the pages either side may have changed. The tracking stays exact
+// because the arena exposes no mutable byte pointer.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <span>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace subword::sim {
@@ -20,8 +30,60 @@ class Device {
   virtual uint32_t read32(uint64_t offset) = 0;
 };
 
+// An immutable sparse copy of an arena: the pages that were marked when it
+// was captured (Memory::snapshot), each stored in full. Pages outside the
+// image are zero in the arena it was taken from.
+struct MemoryImage {
+  size_t size = 0;                  // byte size of the source arena
+  std::vector<uint64_t> page_mask;  // one bit per page held in `bytes`
+  std::vector<uint32_t> pages;      // page indices held, ascending
+  std::vector<uint8_t> bytes;       // pages.size() whole pages, in order
+};
+
+namespace detail {
+
+// Fresh private anonymous pages: they read as zero and take no memory
+// until first written. Throws std::bad_alloc when the mapping fails.
+[[nodiscard]] void* map_zero_pages(size_t bytes);
+void unmap_pages(void* p, size_t bytes) noexcept;
+
+// Backs an arena with fresh zero pages. Value-initialising an element
+// writes nothing, because the page already reads as zero, so a new arena
+// occupies only the pages that are later written — the same pages the
+// arena's tracking marks. That skip is only sound for storage that was
+// never written, so the arena never shrinks and regrows its vector.
+template <typename T>
+struct ZeroPageAllocator {
+  static_assert(std::is_trivial_v<T>);
+  using value_type = T;
+
+  ZeroPageAllocator() = default;
+  template <typename U>
+  ZeroPageAllocator(const ZeroPageAllocator<U>&) noexcept {}
+
+  [[nodiscard]] T* allocate(size_t n) {
+    return static_cast<T*>(map_zero_pages(n * sizeof(T)));
+  }
+  void deallocate(T* p, size_t n) noexcept { unmap_pages(p, n * sizeof(T)); }
+
+  template <typename U>
+  void construct(U*) noexcept {}
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+
+  friend bool operator==(ZeroPageAllocator, ZeroPageAllocator) {
+    return true;
+  }
+};
+
+}  // namespace detail
+
 class Memory {
  public:
+  static constexpr size_t kPageBytes = 4096;
+
   explicit Memory(size_t size_bytes);
 
   [[nodiscard]] size_t size() const { return bytes_.size(); }
@@ -37,19 +99,16 @@ class Memory {
   void write64(uint64_t addr, uint64_t v);
 
   // Bulk typed access for workload setup / verification (bounds checked).
+  // write_span stores the elements' bytes in host order, exactly as the
+  // matching writeN calls would, with one range check and one copy; it
+  // addresses arena bytes only, never a device window.
   template <typename T>
   void write_span(uint64_t addr, std::span<const T> data) {
-    for (size_t i = 0; i < data.size(); ++i) {
-      if constexpr (sizeof(T) == 2) {
-        write16(addr + 2 * i, static_cast<uint16_t>(data[i]));
-      } else if constexpr (sizeof(T) == 4) {
-        write32(addr + 4 * i, static_cast<uint32_t>(data[i]));
-      } else if constexpr (sizeof(T) == 8) {
-        write64(addr + 8 * i, static_cast<uint64_t>(data[i]));
-      } else {
-        write8(addr + i, static_cast<uint8_t>(data[i]));
-      }
-    }
+    static_assert(std::is_integral_v<T>);
+    if (data.empty()) return;
+    check_range(addr, data.size_bytes());
+    mark(addr, data.size_bytes());
+    std::memcpy(bytes_.data() + addr, data.data(), data.size_bytes());
   }
 
   template <typename T>
@@ -81,8 +140,24 @@ class Memory {
     device_size_ = 0;
   }
 
-  // Zero the whole arena in place, keeping the allocation.
+  // Zero the arena in place, keeping the allocation. Only the pages
+  // marked since the last clear()/restore() can be non-zero, so only those
+  // are written.
   void clear();
+
+  // Capture the marked pages. Marked pages that hold only zeros are left
+  // out: the image says exactly which pages a restore must fill.
+  [[nodiscard]] MemoryImage snapshot() const;
+
+  // Make the arena byte-identical to the one `image` was captured from:
+  // marked pages the image does not hold are zeroed, the image's pages are
+  // copied in, and exactly the image's pages stay marked. Throws
+  // std::invalid_argument when the image was taken from an arena of a
+  // different size.
+  void restore(const MemoryImage& image);
+
+  // Read-only view of the whole arena (whole-arena comparisons).
+  [[nodiscard]] std::span<const uint8_t> bytes() const { return bytes_; }
 
   [[nodiscard]] bool in_device_window(uint64_t addr) const {
     return device_ != nullptr && addr >= device_base_ &&
@@ -91,8 +166,16 @@ class Memory {
 
  private:
   void check_range(uint64_t addr, uint64_t len) const;
+  // Mark the pages of a range check_range already admitted.
+  void mark(uint64_t addr, uint64_t len) {
+    const uint64_t last = (addr + len - 1) / kPageBytes;
+    for (uint64_t page = addr / kPageBytes; page <= last; ++page) {
+      dirty_[page / 64] |= uint64_t{1} << (page % 64);
+    }
+  }
 
-  std::vector<uint8_t> bytes_;
+  std::vector<uint8_t, detail::ZeroPageAllocator<uint8_t>> bytes_;
+  std::vector<uint64_t> dirty_;  // one bit per page that may be non-zero
   Device* device_ = nullptr;
   uint64_t device_base_ = 0;
   uint64_t device_size_ = 0;

@@ -12,6 +12,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -243,6 +245,127 @@ TEST(BackendNativeDifferential, VideoPipelineFullyNative) {
     const auto got = kernels::bytes_as_i16(native_run->output);
     EXPECT_EQ(want, got);
   }
+}
+
+// -- Arena restore -------------------------------------------------------------
+// execute_native starts from the image lower_native captured after
+// init_memory, not from clear() + init_memory(). These tests pin the
+// equivalence on one reused scratch arena, the way an engine worker uses
+// it.
+
+// Every native preparation of the lowerable registry kernels at
+// repeats=1: {baseline, manual, auto} x {A, D}.
+struct NativeShape {
+  std::string name;
+  std::shared_ptr<const MediaKernel> kernel;
+  PreparedProgram prepared;
+};
+
+std::vector<std::vector<NativeShape>> native_shapes_by_kind() {
+  std::vector<std::vector<NativeShape>> by_kind(5);
+  for (const auto& info : kernels::kernel_infos()) {
+    if (!info.native_backend()) continue;
+    std::shared_ptr<const MediaKernel> k = kernels::make_kernel(info.name);
+    auto add = [&](size_t kind, const std::string& what, PreparedProgram p) {
+      kernels::lower_native(*k, p);
+      by_kind[kind].push_back({info.name + "/" + what, k, std::move(p)});
+    };
+    add(0, "baseline", kernels::prepare_baseline(*k, 1));
+    size_t kind = 1;
+    for (const auto& cfg : {core::kConfigA, core::kConfigD}) {
+      const std::string cfg_name(cfg.name);
+      if (info.has_manual_spu()) {
+        try {
+          add(kind, "manual/" + cfg_name,
+              kernels::prepare_spu(*k, 1, cfg, SpuMode::Manual));
+        } catch (const std::logic_error&) {
+          // Not realizable under this geometry.
+        }
+      }
+      add(kind + 1, "auto/" + cfg_name,
+          kernels::prepare_spu(*k, 1, cfg, SpuMode::Auto));
+      kind += 2;
+    }
+  }
+  return by_kind;
+}
+
+TEST(BackendNativeArena, InterleavedRestoresMatchAFreshInit) {
+  // Interleave: every kernel's shape of one kind, then the next kind, so
+  // consecutive replays on the scratch arena are different kernels; then
+  // the whole sequence again backwards.
+  std::vector<const NativeShape*> order;
+  const auto by_kind = native_shapes_by_kind();
+  for (const auto& kind : by_kind) {
+    for (const auto& shape : kind) order.push_back(&shape);
+  }
+  ASSERT_GT(order.size(), 20u);
+  const size_t forward = order.size();
+  for (size_t i = forward; i-- > 0;) order.push_back(order[i]);
+
+  sim::Memory scratch(kernels::kMemBytes);
+  for (const NativeShape* shape : order) {
+    SCOPED_TRACE(shape->name);
+    const MediaKernel& k = *shape->kernel;
+    sim::Memory fresh(kernels::kMemBytes);
+    fresh.clear();
+    k.init_memory(fresh);
+
+    // The arena execute_native binds into, after the previous job.
+    scratch.restore(shape->prepared.native->image);
+    ASSERT_EQ(std::memcmp(scratch.bytes().data(), fresh.bytes().data(),
+                          kernels::kMemBytes),
+              0)
+        << "restored arena differs from clear() + init_memory()";
+
+    // Then the whole execution, bound where the kernel accepts buffers,
+    // against the same execution on a never-used arena.
+    const kernels::BufferSpec spec = k.buffer_spec();
+    std::vector<uint8_t> input;
+    if (spec.supported()) {
+      input = fresh.read_vector<uint8_t>(spec.input_addr, spec.input_bytes);
+    }
+    std::vector<uint8_t> out_scratch(spec.output_bytes);
+    std::vector<uint8_t> out_fresh(spec.output_bytes);
+    kernels::BufferBinding bind_scratch{input, out_scratch};
+    kernels::BufferBinding bind_fresh{input, out_fresh};
+    const bool bound = spec.supported();
+    const auto run = kernels::execute_native(
+        k, shape->prepared, &scratch, bound ? &bind_scratch : nullptr);
+    sim::Memory unused(kernels::kMemBytes);
+    const auto ref = kernels::execute_native(
+        k, shape->prepared, &unused, bound ? &bind_fresh : nullptr);
+    EXPECT_TRUE(run.verified);
+    EXPECT_TRUE(ref.verified);
+    EXPECT_EQ(out_scratch, out_fresh);
+    ASSERT_EQ(std::memcmp(scratch.bytes().data(), unused.bytes().data(),
+                          kernels::kMemBytes),
+              0)
+        << "reused arena ends differently from a never-used one";
+  }
+}
+
+// A caller may write the scratch arena between executions (the way a
+// phase probe re-runs init by hand). The next restore must undo it, even
+// in a page no kernel image or trace ever touches.
+TEST(BackendNativeArena, ForeignWriteIsUndoneByTheNextRestore) {
+  const auto k = kernels::make_kernel("FIR12");
+  auto p = kernels::prepare_baseline(*k, 1);
+  kernels::lower_native(*k, p);
+  constexpr uint64_t kForeign = kernels::kMemBytes - 4096;
+
+  sim::Memory scratch(kernels::kMemBytes);
+  ASSERT_TRUE(kernels::execute_native(*k, p, &scratch).verified);
+  sim::Memory reference(kernels::kMemBytes);
+  ASSERT_TRUE(kernels::execute_native(*k, p, &reference).verified);
+  ASSERT_EQ(scratch.read64(kForeign), 0u);
+
+  scratch.write64(kForeign, ~0ull);
+  ASSERT_TRUE(kernels::execute_native(*k, p, &scratch).verified);
+  EXPECT_EQ(scratch.read64(kForeign), 0u);
+  EXPECT_EQ(std::memcmp(scratch.bytes().data(), reference.bytes().data(),
+                        kernels::kMemBytes),
+            0);
 }
 
 // -- Lowering rejection paths ------------------------------------------------

@@ -177,11 +177,18 @@ TEST(History, ConcurrentHammerAggregatesExactlyAndReadsAreConsistent) {
     });
   }
 
+  // The scheduler may starve the readers for the writers' whole run (they
+  // have spun on the empty table meanwhile), so the race is enforced, not
+  // hoped for: after its first round each writer waits until a reader has
+  // taken a snapshot, then writes the rest while the readers keep reading.
   std::vector<std::thread> writers;
   for (int w = 0; w < kThreads; ++w) {
     writers.emplace_back([&] {
       for (int i = 0; i < kPerThread; ++i) {
         for (int k = 0; k < kKeys; ++k) t.record(keys[k], value_of(k));
+        while (i == 0 && snapshots.load(std::memory_order_relaxed) == 0) {
+          std::this_thread::yield();
+        }
       }
     });
   }

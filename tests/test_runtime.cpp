@@ -5,12 +5,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <future>
+#include <span>
 #include <thread>
 #include <vector>
 
 #include "kernels/registry.h"
 #include "kernels/runner.h"
+#include "kernels/video_pipeline_ref.h"
+#include "ref/workload.h"
 #include "runtime/batch_engine.h"
 #include "runtime/orchestration_cache.h"
 
@@ -420,4 +424,147 @@ TEST(BatchEngine, SubmitAfterCancelIsRejected) {
   const auto s = engine.stats();
   EXPECT_EQ(s.jobs_rejected, 1u);
   EXPECT_EQ(s.jobs_failed, cancelled);
+}
+
+// -- Chains --------------------------------------------------------------------
+
+namespace {
+
+// A native video-stage job bound to caller buffers, as a pipeline stage.
+KernelJob stage_job(const std::string& name, std::span<const uint8_t> in,
+                    std::span<uint8_t> out) {
+  KernelJob j;
+  j.kernel = name;
+  j.use_spu = true;
+  j.mode = SpuMode::Manual;
+  j.cfg = core::kConfigD;
+  j.backend = kernels::ExecBackend::kNativeSwar;
+  j.buffers = {in, out};
+  return j;
+}
+
+size_t input_bytes(const std::string& name) {
+  return kernels::find_kernel_info(name)->buffers.input_bytes;
+}
+
+size_t output_bytes(const std::string& name) {
+  return kernels::find_kernel_info(name)->buffers.output_bytes;
+}
+
+std::vector<uint8_t> pixel_bytes(uint64_t seed) {
+  const auto px = ref::make_pixels(input_bytes("Color Convert") / 2, seed);
+  std::vector<uint8_t> out(px.size() * 2);
+  std::memcpy(out.data(), px.data(), out.size());
+  return out;
+}
+
+}  // namespace
+
+// Each job reads the buffer its predecessor wrote: the chain must run the
+// jobs in order, on one worker, and occupy a single queue slot.
+TEST(BatchEngineChain, RunsInOrderOnOneWorker) {
+  BatchEngine engine({.workers = 3, .cache = nullptr});
+  const auto rgb = pixel_bytes(0xC4A1);
+  std::vector<uint8_t> yuv(output_bytes("Color Convert"));
+  std::vector<uint8_t> conv(output_bytes("2D Convolution"));
+  std::vector<uint8_t> sad(output_bytes("Motion Estimation"));
+  std::vector<KernelJob> jobs;
+  jobs.push_back(stage_job("Color Convert", rgb, yuv));
+  jobs.push_back(stage_job(
+      "2D Convolution",
+      std::span<const uint8_t>(yuv).first(input_bytes("2D Convolution")),
+      conv));
+  jobs.push_back(stage_job(
+      "Motion Estimation",
+      std::span<const uint8_t>(conv).first(input_bytes("Motion Estimation")),
+      sad));
+
+  const auto results = engine.submit_chain(std::move(jobs)).get();
+  ASSERT_EQ(results.size(), 3u);
+  for (const auto& r : results) {
+    EXPECT_TRUE(r.ok) << r.error;
+    EXPECT_TRUE(r.run.verified);
+    EXPECT_EQ(r.worker, results[0].worker);
+  }
+  std::vector<int16_t> rgb_lanes(rgb.size() / 2);
+  std::memcpy(rgb_lanes.data(), rgb.data(), rgb.size());
+  EXPECT_EQ(kernels::bytes_as_i16(sad),
+            kernels::composed_video_pipeline_ref(rgb_lanes));
+  const auto s = engine.stats();
+  EXPECT_EQ(s.jobs_submitted, 3u);
+  EXPECT_EQ(s.jobs_completed, 3u);
+  EXPECT_EQ(s.jobs_failed, 0u);
+  EXPECT_EQ(s.queue_peak_depth, 1u);
+}
+
+TEST(BatchEngineChain, StopsAtTheFirstUnverifiedJob) {
+  BatchEngine engine({.workers = 1, .cache = nullptr});
+  // 0x7FFF lanes break Color Convert's pixel contract: the job runs but
+  // fails verification.
+  const std::vector<uint8_t> bad(input_bytes("Color Convert"), 0xFF);
+  const auto good = pixel_bytes(0x600D);
+  std::vector<uint8_t> out0(output_bytes("Color Convert"));
+  std::vector<uint8_t> out1(output_bytes("Color Convert"), 0xAA);
+  std::vector<KernelJob> jobs;
+  jobs.push_back(stage_job("Color Convert", bad, out0));
+  jobs.push_back(stage_job("Color Convert", good, out1));
+
+  const auto results = engine.submit_chain(std::move(jobs)).get();
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_TRUE(results[0].ok);
+  EXPECT_FALSE(results[0].run.verified);
+  // The second job never ran: had it run, it would have verified and
+  // copied its output back.
+  EXPECT_EQ(out1, std::vector<uint8_t>(out1.size(), 0xAA));
+  const auto s = engine.stats();
+  EXPECT_EQ(s.jobs_submitted, 2u);
+  EXPECT_EQ(s.jobs_completed, 2u);
+  EXPECT_EQ(s.jobs_failed, 1u);  // the skipped job
+}
+
+TEST(BatchEngineChain, QueuedChainIsCancelledAsOneUnit) {
+  BatchEngine engine({.workers = 1, .cache = nullptr});
+  // Enough simulator work ahead of the chain that it is still queued when
+  // cancel() runs.
+  std::vector<std::future<JobResult>> ahead;
+  for (int i = 0; i < 20; ++i) {
+    ahead.push_back(engine.submit(auto_job("FFT1024", 4)));
+  }
+  auto chain = engine.submit_chain(
+      {baseline_job("FIR12", 1), baseline_job("IIR", 1),
+       baseline_job("DCT", 1)});
+  ahead[0].wait();
+  engine.cancel();
+  const auto results = chain.get();
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_FALSE(results[0].ok);
+  EXPECT_EQ(results[0].kind, JobErrorKind::kCancelled);
+  uint64_t cancelled = 0;
+  for (auto& f : ahead) {
+    if (f.get().kind == JobErrorKind::kCancelled) ++cancelled;
+  }
+  const auto s = engine.stats();
+  EXPECT_EQ(s.jobs_submitted, 23u);
+  EXPECT_EQ(s.jobs_completed, 23u);
+  EXPECT_EQ(s.jobs_failed, cancelled + 3);
+}
+
+TEST(BatchEngineChain, ChainAfterShutdownIsRejectedAsOneUnit) {
+  BatchEngine engine({.workers = 2, .cache = nullptr});
+  engine.shutdown();
+  const auto results =
+      engine.submit_chain({baseline_job("FIR12", 1), baseline_job("IIR", 1)})
+          .get();
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_FALSE(results[0].ok);
+  EXPECT_EQ(results[0].kind, JobErrorKind::kRejected);
+  const auto s = engine.stats();
+  EXPECT_EQ(s.jobs_rejected, 2u);
+  EXPECT_EQ(s.jobs_submitted, 0u);
+}
+
+TEST(BatchEngineChain, EmptyChainResolvesWithNoResults) {
+  BatchEngine engine({.workers = 1, .cache = nullptr});
+  EXPECT_TRUE(engine.submit_chain({}).get().empty());
+  EXPECT_EQ(engine.stats().jobs_submitted, 0u);
 }

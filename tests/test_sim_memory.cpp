@@ -1,6 +1,9 @@
 // Tests for simulated memory: typed access, bounds, device windows.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "sim/memory.h"
 #include "sim/regfile.h"
 #include "swar/vec64.h"
@@ -93,6 +96,56 @@ TEST(Memory, ReadVectorTypedWidths) {
   EXPECT_EQ(m.read_vector<uint64_t>(16, 1)[0], 0x0102030405060708ull);
   m.write8(24, 0xAB);
   EXPECT_EQ(m.read_vector<uint8_t>(24, 1)[0], 0xAB);
+}
+
+// A fresh arena reads all-zero. Page tracking: clear() must zero every
+// byte any write path touched, including a write that straddles a page
+// boundary, and leave the arena all-zero.
+TEST(Memory, ClearZeroesEveryWrittenPage) {
+  Memory m(4 * Memory::kPageBytes + 100);
+  for (const uint8_t b : m.bytes()) ASSERT_EQ(b, 0);
+  m.write64(Memory::kPageBytes - 4, ~0ull);  // straddles pages 0 and 1
+  m.write8(3 * Memory::kPageBytes, 0x5A);
+  m.write_span<int16_t>(4 * Memory::kPageBytes + 10,
+                        std::vector<int16_t>{7, 8, 9});  // partial page
+  m.clear();
+  for (const uint8_t b : m.bytes()) ASSERT_EQ(b, 0);
+  // One span across three pages marks the middle one too.
+  m.write_span<uint8_t>(Memory::kPageBytes / 2,
+                        std::vector<uint8_t>(2 * Memory::kPageBytes, 0xEE));
+  m.clear();
+  for (const uint8_t b : m.bytes()) ASSERT_EQ(b, 0);
+}
+
+// snapshot() keeps only non-zero pages; restore() reproduces the captured
+// arena exactly, whatever was written in between, and is repeatable.
+TEST(Memory, SnapshotRestoreRoundTrip) {
+  Memory m(8 * Memory::kPageBytes);
+  m.write32(2 * Memory::kPageBytes + 8, 0xDEADBEEF);
+  m.write16(5 * Memory::kPageBytes, 0);  // marked but all-zero
+  const auto image = m.snapshot();
+  EXPECT_EQ(image.pages, std::vector<uint32_t>{2});
+  const std::vector<uint8_t> want(m.bytes().begin(), m.bytes().end());
+
+  for (int round = 0; round < 2; ++round) {
+    m.write64(7 * Memory::kPageBytes + 16, 0x0102030405060708ull);
+    m.write32(2 * Memory::kPageBytes + 8, 1);
+    m.restore(image);
+    EXPECT_TRUE(std::equal(want.begin(), want.end(), m.bytes().begin()));
+  }
+  // Restoring into a fresh arena works too (nothing marked yet).
+  Memory fresh(8 * Memory::kPageBytes);
+  fresh.restore(image);
+  EXPECT_TRUE(std::equal(want.begin(), want.end(), fresh.bytes().begin()));
+  // After a restore only the image's pages are marked: clear() undoes it.
+  fresh.clear();
+  for (const uint8_t b : fresh.bytes()) ASSERT_EQ(b, 0);
+}
+
+TEST(Memory, RestoreRejectsImageOfAnotherSize) {
+  Memory small(Memory::kPageBytes);
+  Memory big(2 * Memory::kPageBytes);
+  EXPECT_THROW(big.restore(small.snapshot()), std::invalid_argument);
 }
 
 TEST(RegFile, ByteViewMatchesSpuAddressing) {

@@ -6,7 +6,9 @@
 // composition of its stages while stages overlap across tiles.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <initializer_list>
 #include <optional>
 #include <span>
 #include <string>
@@ -21,6 +23,7 @@
 
 using namespace subword;
 using api::ErrorCode;
+using api::Result;
 using api::ExecBackend;
 using api::Session;
 
@@ -414,6 +417,81 @@ TEST(TiledPipeline, ConcurrentStreamsShareOneCache) {
   EXPECT_EQ(stats.entries, 3u);
   // 2 streams x 3 stages x kTiles jobs, minus the 3 preparations.
   EXPECT_EQ(stats.hits, 2 * 3 * kTiles - 3);
+}
+
+// Each tile of a streamed pipeline is one engine chain. Lanes of 0x7FFF
+// are outside Color Convert's [0, 255] pixel contract, so a poisoned tile
+// fails verification at stage 0.
+std::vector<int16_t> video_frame(size_t tiles, uint64_t seed,
+                                 std::initializer_list<size_t> poisoned) {
+  std::vector<int16_t> rgb;
+  for (size_t k = 0; k < tiles; ++k) {
+    const auto tile = ref::make_pixels(3 * 256, seed + k);
+    rgb.insert(rgb.end(), tile.begin(), tile.end());
+  }
+  for (const size_t k : poisoned) {
+    std::fill_n(rgb.begin() + static_cast<ptrdiff_t>(k * 3 * 256), 3 * 256,
+                int16_t{0x7FFF});
+  }
+  return rgb;
+}
+
+Result<api::PipelineRun> run_video_tiled(Session& session,
+                                         const std::vector<int16_t>& rgb) {
+  const auto stage = [&](const char* kernel) {
+    return session.request(kernel).spu(core::kConfigD).backend(
+        ExecBackend::kNativeSwar);
+  };
+  return session.pipeline()
+      .then(stage("Color Convert"))
+      .then(stage("2D Convolution"))
+      .then(stage("Motion Estimation"))
+      .tile()
+      .input(std::span<const int16_t>(rgb))
+      .run();
+}
+
+TEST(TiledPipeline, FailedStageStopsItsTilesChain) {
+  Session session({.workers = 2, .cache = nullptr});
+  constexpr size_t kTiles = 4;
+  constexpr size_t kStages = 3;
+
+  const auto s0 = session.stats();
+  auto clean = run_video_tiled(session, video_frame(kTiles, 0xC1EA, {}));
+  ASSERT_TRUE(clean.ok()) << clean.error().to_string();
+  const auto s1 = session.stats();
+  EXPECT_EQ(s1.jobs_submitted - s0.jobs_submitted, kStages * kTiles);
+  EXPECT_EQ(s1.jobs_completed - s0.jobs_completed, kStages * kTiles);
+  EXPECT_EQ(s1.jobs_failed - s0.jobs_failed, 0u);
+  // Instructions each stage's job replays (the same for every tile).
+  std::vector<uint64_t> per_job;
+  for (const auto& st : clean->stages) {
+    per_job.push_back(st.response.run.stats.instructions / kTiles);
+  }
+
+  auto poisoned = run_video_tiled(session, video_frame(kTiles, 0xC1EA, {1}));
+  ASSERT_FALSE(poisoned.ok());
+  EXPECT_EQ(poisoned.error().code, ErrorCode::kVerificationFailed);
+  EXPECT_NE(poisoned.error().context.find("stage 0"), std::string::npos)
+      << poisoned.error().context;
+  const auto s2 = session.stats();
+  // Every job is accounted for; tile 1's stages 1 and 2 were skipped, so
+  // they count as failed and retired no instructions.
+  EXPECT_EQ(s2.jobs_completed - s1.jobs_completed, kStages * kTiles);
+  EXPECT_EQ(s2.jobs_failed - s1.jobs_failed, kStages - 1);
+  EXPECT_EQ(s2.instructions_retired - s1.instructions_retired,
+            kTiles * (per_job[0] + per_job[1] + per_job[2]) -
+                (per_job[1] + per_job[2]));
+}
+
+TEST(TiledPipeline, ReportsTheFirstFailingTile) {
+  Session session({.workers = 2, .cache = nullptr});
+  auto run = run_video_tiled(session, video_frame(6, 0xF1257, {4, 2}));
+  ASSERT_FALSE(run.ok());
+  EXPECT_EQ(run.error().code, ErrorCode::kVerificationFailed);
+  const std::string& ctx = run.error().context;
+  EXPECT_NE(ctx.find("tile 2"), std::string::npos) << ctx;
+  EXPECT_EQ(ctx.find("tile 4"), std::string::npos) << ctx;
 }
 
 // -- Engine-level contention counters ----------------------------------------
