@@ -146,19 +146,20 @@ class Walker {
     for (uint64_t i = 0; i < len; ++i) known_[addr + i] = k;
   }
 
-  // Intern the current controller state's route for this instruction, or
-  // -1 when the operands pass through unrouted. Verifies pipe symmetry:
-  // the backend replays through the U slice, which is only sound when the
-  // V slice gathers identically.
-  int32_t resolve_route(uint8_t* flags) {
-    *flags = 0;
-    if (!spu_ || !spu_->active()) return -1;
+  // Intern the gather plans of the current controller state's route for
+  // this instruction: 1-based NativeTrace::gathers indices for operands a
+  // and b, 0 for an operand that passes through unrouted. Verifies pipe
+  // symmetry: the backend replays through the U slice, which is only sound
+  // when the V slice gathers identically.
+  std::array<uint32_t, 2> resolve_gathers(const Inst& in) {
+    std::array<uint32_t, 2> ids{};
+    if (!spu_ || !spu_->active()) return ids;
     const core::SpuProgram& ctx = spu_->context(spu_->selected_context());
     const core::Route& r = ctx.states[spu_->current_state()].route;
-    bool any = false;
     for (int operand = 0; operand < 2; ++operand) {
       const int u_off = core::bus_offset(sim::Pipe::U, operand);
       const int v_off = core::bus_offset(sim::Pipe::V, operand);
+      GatherKey key{};
       bool routed = false;
       for (int i = 0; i < core::kOperandBytes; ++i) {
         const uint8_t u = r.sel[static_cast<size_t>(u_off + i)];
@@ -167,18 +168,22 @@ class Walker {
           bail("route differs between the U and V pipe slices; the executing "
                "pipe is a timing property the native backend does not model");
         }
+        key[static_cast<size_t>(i)] = u;
         routed = routed || u != core::Route::kStraight;
       }
-      if (routed) {
-        *flags |= operand == 0 ? NativeOp::kRouteA : NativeOp::kRouteB;
-        any = true;
+      if (!routed) continue;
+      // The plan also depends on the register a straight byte falls back to.
+      key[core::kOperandBytes] = operand == 0 ? in.dst : in.src;
+      auto [it, fresh] = gather_ids_.try_emplace(key, 0);
+      if (fresh) {
+        if (trace_.gathers.size() >= 0xFFFF) {
+          bail("more than 65535 distinct crossbar gathers");
+        }
+        it->second = append_gather(trace_, r, operand, key.back());
       }
+      ids[static_cast<size_t>(operand)] = it->second;
     }
-    if (!any) return -1;
-    auto [it, fresh] = route_ids_.try_emplace(
-        r.sel, static_cast<int32_t>(trace_.routes.size()));
-    if (fresh) trace_.routes.push_back(r);
-    return it->second;
+    return ids;
   }
 
   // -- scalar instruction classes --------------------------------------------
@@ -361,8 +366,7 @@ class Walker {
         break;
       default: {
         // Two-operand MMX data op, possibly crossbar-routed.
-        uint8_t flags = 0;
-        const int32_t route = resolve_route(&flags);
+        const auto [gather_a, gather_b] = resolve_gathers(in);
         Inst lowered = in;
         if (in.op == Op::Paddsw &&
             g_fault_injection.load(std::memory_order_relaxed)) {
@@ -370,7 +374,7 @@ class Walker {
           // (see set_lowering_fault_injection in lowering.h).
           lowered.op = Op::Paddw;
         }
-        append_alu(trace_, lowered, route, flags);
+        append_alu(trace_, lowered, gather_a, gather_b);
         break;
       }
     }
@@ -486,7 +490,9 @@ class Walker {
   std::optional<core::Spu> spu_;
   std::optional<core::SpuMmio> mmio_;
   NativeTrace trace_;
-  std::map<std::array<uint8_t, core::kBusBytes>, int32_t> route_ids_;
+  // One operand's U-slice selectors, then its fallback register.
+  using GatherKey = std::array<uint8_t, core::kOperandBytes + 1>;
+  std::map<GatherKey, uint32_t> gather_ids_;
 };
 
 }  // namespace

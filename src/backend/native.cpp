@@ -1,6 +1,10 @@
 #include "backend/native.h"
 
+#include <algorithm>
+#include <bit>
+#include <cstring>
 #include <stdexcept>
+#include <string>
 
 #include "swar/swar.h"
 
@@ -9,501 +13,350 @@ namespace subword::backend {
 namespace sw = swar::active;
 using isa::Op;
 using swar::Vec64;
+using Code = NativeOp::Code;
+
+// Gather plans address the register file as the SPU register does, byte 0
+// of MM0 first: its in-memory order on a little-endian host.
+static_assert(std::endian::native == std::endian::little);
+static_assert(sizeof(sim::MmxRegFile) == isa::kNumMmxRegs * 8);
 
 namespace {
 
-// -- Op bodies ---------------------------------------------------------------
-// Each is a stateless function the trace points at; the replay loop calls
-// them back to back with no decode in between.
-
-void fn_load64(const NativeOp& op, NativeState& st) {
-  st.regs.write(op.dst, Vec64{st.mem->read64(op.addr)});
+template <typename T>
+T load(const uint8_t* m, uint32_t addr) {
+  T v;
+  std::memcpy(&v, m + addr, sizeof v);
+  return v;
 }
 
-void fn_load32(const NativeOp& op, NativeState& st) {
-  st.regs.write(op.dst,
-                Vec64{static_cast<uint64_t>(st.mem->read32(op.addr))});
+template <typename T>
+void store(uint8_t* m, uint32_t addr, T v) {
+  std::memcpy(m + addr, &v, sizeof v);
 }
 
-void fn_store64(const NativeOp& op, NativeState& st) {
-  st.mem->write64(op.addr, st.regs.read(op.src).bits());
+// Sign-extend a loaded signed value to 64 bits (SLoad16/32).
+template <typename T>
+uint64_t sext(T v) {
+  return static_cast<uint64_t>(static_cast<int64_t>(v));
 }
 
-void fn_store32(const NativeOp& op, NativeState& st) {
-  st.mem->write32(op.addr,
-                  static_cast<uint32_t>(st.regs.read(op.src).bits()));
-}
-
-void fn_set_imm(const NativeOp& op, NativeState& st) {
-  st.regs.write(op.dst, Vec64{op.u.imm});
-}
-
-void fn_sstore16(const NativeOp& op, NativeState& st) {
-  st.mem->write16(op.addr, static_cast<uint16_t>(op.u.imm));
-}
-
-void fn_sstore32(const NativeOp& op, NativeState& st) {
-  st.mem->write32(op.addr, static_cast<uint32_t>(op.u.imm));
-}
-
-void fn_sstore64(const NativeOp& op, NativeState& st) {
-  st.mem->write64(op.addr, op.u.imm);
-}
-
-void fn_alu(const NativeOp& op, NativeState& st) {
-  const Vec64 a = st.regs.read(op.dst);
-  const Vec64 b = st.regs.read(op.src);
-  const uint64_t count =
-      (op.flags & NativeOp::kCountImm) != 0 ? op.imm8 : b.bits();
-  st.regs.write(op.dst, op.u.alu(a, b, count));
-}
-
-// Deferred scalar plane: exact replicas of the simulator's GP semantics
-// (sim/machine.cpp) for the data-dependent slice of the scalar stream.
-
-void fn_gp_set(const NativeOp& op, NativeState& st) {
-  st.gp[op.dst] = op.u.imm;
-}
-
-void fn_gp_mov(const NativeOp& op, NativeState& st) {
-  st.gp[op.dst] = st.gp[op.src];
-}
-
-void fn_gp_add(const NativeOp& op, NativeState& st) {
-  st.gp[op.dst] += st.gp[op.src];
-}
-
-void fn_gp_sub(const NativeOp& op, NativeState& st) {
-  st.gp[op.dst] -= st.gp[op.src];
-}
-
-void fn_gp_mul(const NativeOp& op, NativeState& st) {
-  st.gp[op.dst] *= st.gp[op.src];
-}
-
-void fn_gp_and(const NativeOp& op, NativeState& st) {
-  st.gp[op.dst] &= st.gp[op.src];
-}
-
-void fn_gp_or(const NativeOp& op, NativeState& st) {
-  st.gp[op.dst] |= st.gp[op.src];
-}
-
-void fn_gp_xor(const NativeOp& op, NativeState& st) {
-  st.gp[op.dst] ^= st.gp[op.src];
-}
-
-void fn_gp_addi(const NativeOp& op, NativeState& st) {
-  st.gp[op.dst] += op.u.imm;
-}
-
-void fn_gp_subi(const NativeOp& op, NativeState& st) {
-  st.gp[op.dst] -= op.u.imm;
-}
-
-void fn_gp_shli(const NativeOp& op, NativeState& st) {
-  st.gp[op.dst] <<= op.imm8;
-}
-
-void fn_gp_shri(const NativeOp& op, NativeState& st) {
-  st.gp[op.dst] >>= op.imm8;
-}
-
-void fn_gp_srai(const NativeOp& op, NativeState& st) {
-  st.gp[op.dst] = static_cast<uint64_t>(
-      static_cast<int64_t>(st.gp[op.dst]) >> op.imm8);
-}
-
-void fn_gp_load16(const NativeOp& op, NativeState& st) {
-  st.gp[op.dst] = static_cast<uint64_t>(static_cast<int64_t>(
-      static_cast<int16_t>(st.mem->read16(op.addr))));
-}
-
-void fn_gp_load32(const NativeOp& op, NativeState& st) {
-  st.gp[op.dst] = static_cast<uint64_t>(static_cast<int64_t>(
-      static_cast<int32_t>(st.mem->read32(op.addr))));
-}
-
-void fn_gp_load64(const NativeOp& op, NativeState& st) {
-  st.gp[op.dst] = st.mem->read64(op.addr);
-}
-
-void fn_gp_store16(const NativeOp& op, NativeState& st) {
-  st.mem->write16(op.addr, static_cast<uint16_t>(st.gp[op.src]));
-}
-
-void fn_gp_store32(const NativeOp& op, NativeState& st) {
-  st.mem->write32(op.addr, static_cast<uint32_t>(st.gp[op.src]));
-}
-
-void fn_gp_store64(const NativeOp& op, NativeState& st) {
-  st.mem->write64(op.addr, st.gp[op.src]);
-}
-
-void fn_gp_from_mmx(const NativeOp& op, NativeState& st) {
-  st.gp[op.dst] = st.regs.read(op.src).bits() & 0xFFFFFFFFull;
-}
-
-void fn_mmx_from_gp(const NativeOp& op, NativeState& st) {
-  st.regs.write(op.dst, Vec64{st.gp[op.src] & 0xFFFFFFFFull});
-}
-
-void fn_alu_routed(const NativeOp& op, NativeState& st) {
-  Vec64 a = st.regs.read(op.dst);
-  Vec64 b = st.regs.read(op.src);
-  const core::Route& r = st.routes[op.route];
-  // The route's U and V slices are verified identical at lowering time, so
-  // gathering through the U slice is pipe-exact.
-  if ((op.flags & NativeOp::kRouteA) != 0) {
-    a = core::apply_route(r, sim::Pipe::U, 0, st.regs, a);
+Vec64 gather(const GatherPlan& g, const uint8_t* regs) {
+  uint64_t v = 0;
+  for (int i = 0; i < core::kOperandBytes; ++i) {
+    v |= uint64_t{regs[g.src[static_cast<size_t>(i)]]} << (8 * i);
   }
-  if ((op.flags & NativeOp::kRouteB) != 0) {
-    b = core::apply_route(r, sim::Pipe::U, 1, st.regs, b);
+  // A sign byte's src names the byte whose sign it copies.
+  const uint64_t fill = ((v & g.sign & 0x8080808080808080ull) >> 7) * 0xFF;
+  return Vec64{(v & g.keep) | fill};
+}
+
+uint8_t mmx_reg(uint8_t r) {
+  if (r >= isa::kNumMmxRegs) {
+    throw std::logic_error("MMX register out of range");
   }
-  // Shift counts come from the post-route operand, exactly as the
-  // simulator computes them (sim/machine.cpp).
-  const uint64_t count =
-      (op.flags & NativeOp::kCountImm) != 0 ? op.imm8 : b.bits();
-  st.regs.write(op.dst, op.u.alu(a, b, count));
+  return r;
+}
+
+uint8_t gp_reg(uint8_t r) {
+  if (r >= isa::kNumGpRegs) throw std::logic_error("GP register out of range");
+  return r;
+}
+
+void push(NativeTrace& t, Code code, uint8_t dst, uint8_t src,
+          uint64_t imm = 0, uint32_t arg = 0, uint8_t flags = 0) {
+  t.ops.push_back(NativeOp{imm, arg, code, dst, src, flags});
+}
+
+// An op reading or writing `len` arena bytes at `addr`: widen the trace's
+// span and, for stores, mark the pages written.
+void push_access(NativeTrace& t, Code code, uint8_t dst, uint8_t src,
+                 uint32_t addr, uint64_t len, bool is_store,
+                 uint64_t imm = 0) {
+  const uint64_t end = uint64_t{addr} + len;
+  const bool first = t.span_lo == t.span_hi;
+  t.span_lo = first ? addr : std::min<uint64_t>(t.span_lo, addr);
+  t.span_hi = first ? end : std::max(t.span_hi, end);
+  if (is_store) {
+    const uint64_t last = (end - 1) / sim::Memory::kPageBytes;
+    for (uint64_t p = addr / sim::Memory::kPageBytes; p <= last; ++p) {
+      if (p / 64 >= t.written_pages.size()) t.written_pages.resize(p / 64 + 1);
+      t.written_pages[p / 64] |= uint64_t{1} << (p % 64);
+    }
+  }
+  push(t, code, dst, src, imm, addr);
 }
 
 }  // namespace
 
 void run_trace(const NativeTrace& t, NativeState& st) {
-  st.routes = t.routes.data();
-  for (const NativeOp& op : t.ops) op.fn(op, st);
-}
+  sim::Memory& mem = *st.mem;
+  if (mem.size() != t.image.size || t.span_hi > t.image.size) {
+    throw std::invalid_argument(
+        "run_trace: trace lowered for a " + std::to_string(t.image.size) +
+        "-byte arena, replayed on " + std::to_string(mem.size()) + " bytes");
+  }
+  if (t.span_lo < t.span_hi && mem.device_overlaps(t.span_lo, t.span_hi)) {
+    throw std::invalid_argument(
+        "run_trace: a device window overlaps the trace's arena accesses");
+  }
+  uint8_t* const m = mem.mark_written(t.written_pages);
+  Vec64* const mm = st.regs.mm.data();
+  const auto* const regs = reinterpret_cast<const uint8_t*>(mm);
+  uint64_t* const gp = st.gp.data();
+  const GatherPlan* const gathers = t.gathers.data();
+  // Operand value of a routed op: the gather plan `id` (1-based), or the
+  // named register's value when the operand is not routed (id 0).
+  const auto routed = [&](uint32_t id, Vec64 named) {
+    return id == 0 ? named : gather(gathers[id - 1], regs);
+  };
 
-NativeOp::AluFn resolve_alu(isa::Op op) {
-  // Mirrors sim::mmx_alu (sim/exec.cpp) case for case, but resolves the
-  // host SWAR function once at lowering time instead of per execution.
-  switch (op) {
-    case Op::MovqRR:
-      return +[](Vec64, Vec64 b, uint64_t) { return b; };
+  for (const NativeOp& op : t.ops) {
+    switch (op.code) {
+      case Code::kLoad64: mm[op.dst] = Vec64{load<uint64_t>(m, op.arg)}; break;
+      case Code::kLoad32: mm[op.dst] = Vec64{load<uint32_t>(m, op.arg)}; break;
+      case Code::kStore64: store(m, op.arg, mm[op.src].bits()); break;
+      case Code::kStore32:
+        store(m, op.arg, static_cast<uint32_t>(mm[op.src].bits()));
+        break;
+      case Code::kSetImm: mm[op.dst] = Vec64{op.imm}; break;
+      case Code::kSStore16:
+        store(m, op.arg, static_cast<uint16_t>(op.imm));
+        break;
+      case Code::kSStore32:
+        store(m, op.arg, static_cast<uint32_t>(op.imm));
+        break;
+      case Code::kSStore64: store(m, op.arg, op.imm); break;
 
-    case Op::Paddb:
-      return +[](Vec64 a, Vec64 b, uint64_t) { return sw::add<uint8_t>(a, b); };
-    case Op::Paddw:
-      return
-          +[](Vec64 a, Vec64 b, uint64_t) { return sw::add<uint16_t>(a, b); };
-    case Op::Paddd:
-      return
-          +[](Vec64 a, Vec64 b, uint64_t) { return sw::add<uint32_t>(a, b); };
-    case Op::Psubb:
-      return +[](Vec64 a, Vec64 b, uint64_t) { return sw::sub<uint8_t>(a, b); };
-    case Op::Psubw:
-      return
-          +[](Vec64 a, Vec64 b, uint64_t) { return sw::sub<uint16_t>(a, b); };
-    case Op::Psubd:
-      return
-          +[](Vec64 a, Vec64 b, uint64_t) { return sw::sub<uint32_t>(a, b); };
+      // Deferred scalar plane: exact replicas of the simulator's GP
+      // semantics (sim/machine.cpp) for the data-dependent slice of the
+      // scalar stream.
+      case Code::kGpSet: gp[op.dst] = op.imm; break;
+      case Code::kGpMov: gp[op.dst] = gp[op.src]; break;
+      case Code::kGpAdd: gp[op.dst] += gp[op.src]; break;
+      case Code::kGpSub: gp[op.dst] -= gp[op.src]; break;
+      case Code::kGpMul: gp[op.dst] *= gp[op.src]; break;
+      case Code::kGpAnd: gp[op.dst] &= gp[op.src]; break;
+      case Code::kGpOr: gp[op.dst] |= gp[op.src]; break;
+      case Code::kGpXor: gp[op.dst] ^= gp[op.src]; break;
+      case Code::kGpAddi: gp[op.dst] += op.imm; break;
+      case Code::kGpSubi: gp[op.dst] -= op.imm; break;
+      case Code::kGpShli: gp[op.dst] <<= op.imm; break;
+      case Code::kGpShri: gp[op.dst] >>= op.imm; break;
+      case Code::kGpSrai:
+        gp[op.dst] = static_cast<uint64_t>(static_cast<int64_t>(gp[op.dst]) >>
+                                           op.imm);
+        break;
+      case Code::kGpLoad16: gp[op.dst] = sext(load<int16_t>(m, op.arg)); break;
+      case Code::kGpLoad32: gp[op.dst] = sext(load<int32_t>(m, op.arg)); break;
+      case Code::kGpLoad64: gp[op.dst] = load<uint64_t>(m, op.arg); break;
+      case Code::kGpStore16:
+        store(m, op.arg, static_cast<uint16_t>(gp[op.src]));
+        break;
+      case Code::kGpStore32:
+        store(m, op.arg, static_cast<uint32_t>(gp[op.src]));
+        break;
+      case Code::kGpStore64: store(m, op.arg, gp[op.src]); break;
+      case Code::kGpFromMmx:
+        gp[op.dst] = mm[op.src].bits() & 0xFFFFFFFFull;
+        break;
+      case Code::kMmxFromGp:
+        mm[op.dst] = Vec64{gp[op.src] & 0xFFFFFFFFull};
+        break;
 
-    case Op::Paddsb:
-      return
-          +[](Vec64 a, Vec64 b, uint64_t) { return sw::add_sat<int8_t>(a, b); };
-    case Op::Paddsw:
-      return +[](Vec64 a, Vec64 b, uint64_t) {
-        return sw::add_sat<int16_t>(a, b);
-      };
-    case Op::Paddusb:
-      return +[](Vec64 a, Vec64 b, uint64_t) {
-        return sw::add_sat<uint8_t>(a, b);
-      };
-    case Op::Paddusw:
-      return +[](Vec64 a, Vec64 b, uint64_t) {
-        return sw::add_sat<uint16_t>(a, b);
-      };
-    case Op::Psubsb:
-      return
-          +[](Vec64 a, Vec64 b, uint64_t) { return sw::sub_sat<int8_t>(a, b); };
-    case Op::Psubsw:
-      return +[](Vec64 a, Vec64 b, uint64_t) {
-        return sw::sub_sat<int16_t>(a, b);
-      };
-    case Op::Psubusb:
-      return +[](Vec64 a, Vec64 b, uint64_t) {
-        return sw::sub_sat<uint8_t>(a, b);
-      };
-    case Op::Psubusw:
-      return +[](Vec64 a, Vec64 b, uint64_t) {
-        return sw::sub_sat<uint16_t>(a, b);
-      };
-
-    case Op::Pmullw:
-      return +[](Vec64 a, Vec64 b, uint64_t) { return sw::mullo16(a, b); };
-    case Op::Pmulhw:
-      return +[](Vec64 a, Vec64 b, uint64_t) { return sw::mulhi16(a, b); };
-    case Op::Pmaddwd:
-      return +[](Vec64 a, Vec64 b, uint64_t) { return sw::maddwd(a, b); };
-
-    case Op::Pcmpeqb:
-      return
-          +[](Vec64 a, Vec64 b, uint64_t) { return sw::cmpeq<uint8_t>(a, b); };
-    case Op::Pcmpeqw:
-      return
-          +[](Vec64 a, Vec64 b, uint64_t) { return sw::cmpeq<uint16_t>(a, b); };
-    case Op::Pcmpeqd:
-      return
-          +[](Vec64 a, Vec64 b, uint64_t) { return sw::cmpeq<uint32_t>(a, b); };
-    case Op::Pcmpgtb:
-      return
-          +[](Vec64 a, Vec64 b, uint64_t) { return sw::cmpgt<int8_t>(a, b); };
-    case Op::Pcmpgtw:
-      return
-          +[](Vec64 a, Vec64 b, uint64_t) { return sw::cmpgt<int16_t>(a, b); };
-    case Op::Pcmpgtd:
-      return
-          +[](Vec64 a, Vec64 b, uint64_t) { return sw::cmpgt<int32_t>(a, b); };
-
-    case Op::Pand:
-      return +[](Vec64 a, Vec64 b, uint64_t) { return sw::and_(a, b); };
-    case Op::Pandn:
-      return +[](Vec64 a, Vec64 b, uint64_t) { return sw::andn(a, b); };
-    case Op::Por:
-      return +[](Vec64 a, Vec64 b, uint64_t) { return sw::or_(a, b); };
-    case Op::Pxor:
-      return +[](Vec64 a, Vec64 b, uint64_t) { return sw::xor_(a, b); };
-
-    case Op::Psllw:
-      return +[](Vec64 a, Vec64, uint64_t c) { return sw::shl<uint16_t>(a, c); };
-    case Op::Pslld:
-      return +[](Vec64 a, Vec64, uint64_t c) { return sw::shl<uint32_t>(a, c); };
-    case Op::Psllq:
-      return +[](Vec64 a, Vec64, uint64_t c) { return sw::shl<uint64_t>(a, c); };
-    case Op::Psrlw:
-      return +[](Vec64 a, Vec64, uint64_t c) {
-        return sw::shr_logical<uint16_t>(a, c);
-      };
-    case Op::Psrld:
-      return +[](Vec64 a, Vec64, uint64_t c) {
-        return sw::shr_logical<uint32_t>(a, c);
-      };
-    case Op::Psrlq:
-      return +[](Vec64 a, Vec64, uint64_t c) {
-        return sw::shr_logical<uint64_t>(a, c);
-      };
-    case Op::Psraw:
-      return +[](Vec64 a, Vec64, uint64_t c) {
-        return sw::shr_arith<int16_t>(a, c);
-      };
-    case Op::Psrad:
-      return +[](Vec64 a, Vec64, uint64_t c) {
-        return sw::shr_arith<int32_t>(a, c);
-      };
-
-    case Op::Packsswb:
-      return +[](Vec64 a, Vec64 b, uint64_t) { return sw::pack_sswb(a, b); };
-    case Op::Packssdw:
-      return +[](Vec64 a, Vec64 b, uint64_t) { return sw::pack_ssdw(a, b); };
-    case Op::Packuswb:
-      return +[](Vec64 a, Vec64 b, uint64_t) { return sw::pack_uswb(a, b); };
-
-    case Op::Punpcklbw:
-      return +[](Vec64 a, Vec64 b, uint64_t) {
-        return sw::unpack_lo<uint8_t>(a, b);
-      };
-    case Op::Punpcklwd:
-      return +[](Vec64 a, Vec64 b, uint64_t) {
-        return sw::unpack_lo<uint16_t>(a, b);
-      };
-    case Op::Punpckldq:
-      return +[](Vec64 a, Vec64 b, uint64_t) {
-        return sw::unpack_lo<uint32_t>(a, b);
-      };
-    case Op::Punpckhbw:
-      return +[](Vec64 a, Vec64 b, uint64_t) {
-        return sw::unpack_hi<uint8_t>(a, b);
-      };
-    case Op::Punpckhwd:
-      return +[](Vec64 a, Vec64 b, uint64_t) {
-        return sw::unpack_hi<uint16_t>(a, b);
-      };
-    case Op::Punpckhdq:
-      return +[](Vec64 a, Vec64 b, uint64_t) {
-        return sw::unpack_hi<uint32_t>(a, b);
-      };
-
-    default:
-      return nullptr;
+      // MMX data ops. A routed op gathers both operands from the register
+      // file before writing; shift counts come from the post-route operand,
+      // exactly as the simulator computes them (sim/machine.cpp).
+#define SUBWORD_ALU_CASE(name, result)                                     \
+  case Code::k##name: {                                                    \
+    [[maybe_unused]] const Vec64 a = mm[op.dst];                           \
+    const Vec64 b = mm[op.src];                                            \
+    [[maybe_unused]] const uint64_t count =                                \
+        (op.flags & NativeOp::kCountImm) != 0 ? op.imm : b.bits();         \
+    mm[op.dst] = result;                                                   \
+    break;                                                                 \
+  }                                                                        \
+  case Code::k##name##Routed: {                                            \
+    [[maybe_unused]] const Vec64 a = routed(op.arg & 0xFFFF, mm[op.dst]);  \
+    const Vec64 b = routed(op.arg >> 16, mm[op.src]);                      \
+    [[maybe_unused]] const uint64_t count =                                \
+        (op.flags & NativeOp::kCountImm) != 0 ? op.imm : b.bits();         \
+    mm[op.dst] = result;                                                   \
+    break;                                                                 \
+  }
+      SUBWORD_MMX_ALU_OPS(SUBWORD_ALU_CASE)
+#undef SUBWORD_ALU_CASE
+    }
   }
 }
 
+uint32_t append_gather(NativeTrace& t, const core::Route& r, int operand,
+                       uint8_t reg) {
+  GatherPlan g;
+  const int off = core::bus_offset(sim::Pipe::U, operand);
+  // Register byte of the nearest earlier output byte that was copied, or -1
+  // when that byte was zeroed (or there is none): a sign fill then reads 0.
+  int prev = -1;
+  for (int i = 0; i < core::kOperandBytes; ++i) {
+    const uint8_t s = r.sel[static_cast<size_t>(off + i)];
+    const uint64_t lane = uint64_t{0xFF} << (8 * i);
+    if (s == core::Route::kZero) {
+      prev = -1;
+      continue;
+    }
+    if (s == core::Route::kSignExtend) {
+      if (prev < 0) continue;
+      g.src[static_cast<size_t>(i)] = static_cast<uint8_t>(prev);
+      g.sign |= lane;
+      continue;
+    }
+    const int byte = s == core::Route::kStraight ? mmx_reg(reg) * 8 + i : s;
+    if (byte >= isa::kNumMmxRegs * 8) {
+      throw std::logic_error("append_gather: selector " + std::to_string(s) +
+                             " outside the register file");
+    }
+    g.src[static_cast<size_t>(i)] = static_cast<uint8_t>(byte);
+    g.keep |= lane;
+    prev = byte;
+  }
+  t.gathers.push_back(g);
+  return static_cast<uint32_t>(t.gathers.size());
+}
+
 void append_load64(NativeTrace& t, uint8_t dst, uint32_t addr) {
-  NativeOp op;
-  op.fn = fn_load64;
-  op.dst = dst;
-  op.addr = addr;
-  t.ops.push_back(op);
+  push_access(t, Code::kLoad64, mmx_reg(dst), 0, addr, 8, false);
 }
 
 void append_load32(NativeTrace& t, uint8_t dst, uint32_t addr) {
-  NativeOp op;
-  op.fn = fn_load32;
-  op.dst = dst;
-  op.addr = addr;
-  t.ops.push_back(op);
+  push_access(t, Code::kLoad32, mmx_reg(dst), 0, addr, 4, false);
 }
 
 void append_store64(NativeTrace& t, uint8_t src, uint32_t addr) {
-  NativeOp op;
-  op.fn = fn_store64;
-  op.src = src;
-  op.addr = addr;
-  t.ops.push_back(op);
+  push_access(t, Code::kStore64, 0, mmx_reg(src), addr, 8, true);
 }
 
 void append_store32(NativeTrace& t, uint8_t src, uint32_t addr) {
-  NativeOp op;
-  op.fn = fn_store32;
-  op.src = src;
-  op.addr = addr;
-  t.ops.push_back(op);
+  push_access(t, Code::kStore32, 0, mmx_reg(src), addr, 4, true);
 }
 
 void append_set_imm(NativeTrace& t, uint8_t dst, uint64_t value) {
-  NativeOp op;
-  op.fn = fn_set_imm;
-  op.dst = dst;
-  op.u.imm = value;
-  t.ops.push_back(op);
+  push(t, Code::kSetImm, mmx_reg(dst), 0, value);
 }
 
 void append_scalar_store(NativeTrace& t, int width_bytes, uint32_t addr,
                          uint64_t value) {
-  NativeOp op;
+  Code code;
   switch (width_bytes) {
-    case 2: op.fn = fn_sstore16; break;
-    case 4: op.fn = fn_sstore32; break;
-    case 8: op.fn = fn_sstore64; break;
+    case 2: code = Code::kSStore16; break;
+    case 4: code = Code::kSStore32; break;
+    case 8: code = Code::kSStore64; break;
     default:
       throw std::logic_error("append_scalar_store: bad width");
   }
-  op.addr = addr;
-  op.u.imm = value;
-  t.ops.push_back(op);
+  push_access(t, code, 0, 0, addr, static_cast<uint64_t>(width_bytes), true,
+              value);
 }
 
 void append_gp_set(NativeTrace& t, uint8_t dst, uint64_t value) {
-  NativeOp op;
-  op.fn = fn_gp_set;
-  op.dst = dst;
-  op.u.imm = value;
-  t.ops.push_back(op);
+  push(t, Code::kGpSet, gp_reg(dst), 0, value);
 }
 
 void append_gp_mov(NativeTrace& t, uint8_t dst, uint8_t src) {
-  NativeOp op;
-  op.fn = fn_gp_mov;
-  op.dst = dst;
-  op.src = src;
-  t.ops.push_back(op);
+  push(t, Code::kGpMov, gp_reg(dst), gp_reg(src));
 }
 
 void append_gp_binop(NativeTrace& t, isa::Op o, uint8_t dst, uint8_t src) {
-  NativeOp op;
+  Code code;
   switch (o) {
-    case Op::SAdd: op.fn = fn_gp_add; break;
-    case Op::SSub: op.fn = fn_gp_sub; break;
-    case Op::SMul: op.fn = fn_gp_mul; break;
-    case Op::SAnd: op.fn = fn_gp_and; break;
-    case Op::SOr: op.fn = fn_gp_or; break;
-    case Op::SXor: op.fn = fn_gp_xor; break;
+    case Op::SAdd: code = Code::kGpAdd; break;
+    case Op::SSub: code = Code::kGpSub; break;
+    case Op::SMul: code = Code::kGpMul; break;
+    case Op::SAnd: code = Code::kGpAnd; break;
+    case Op::SOr: code = Code::kGpOr; break;
+    case Op::SXor: code = Code::kGpXor; break;
     default:
       throw std::logic_error("append_gp_binop: not a GP binary op");
   }
-  op.dst = dst;
-  op.src = src;
-  t.ops.push_back(op);
+  push(t, code, gp_reg(dst), gp_reg(src));
 }
 
 void append_gp_immop(NativeTrace& t, isa::Op o, uint8_t dst, int64_t imm) {
-  NativeOp op;
+  Code code;
   switch (o) {
-    case Op::SAddi: op.fn = fn_gp_addi; break;
-    case Op::SSubi: op.fn = fn_gp_subi; break;
+    case Op::SAddi: code = Code::kGpAddi; break;
+    case Op::SSubi: code = Code::kGpSubi; break;
     default:
       throw std::logic_error("append_gp_immop: not a GP immediate op");
   }
-  op.dst = dst;
-  op.u.imm = static_cast<uint64_t>(imm);
-  t.ops.push_back(op);
+  push(t, code, gp_reg(dst), 0, static_cast<uint64_t>(imm));
 }
 
 void append_gp_shift(NativeTrace& t, isa::Op o, uint8_t dst, uint8_t imm8) {
-  NativeOp op;
+  Code code;
   switch (o) {
-    case Op::SShli: op.fn = fn_gp_shli; break;
-    case Op::SShri: op.fn = fn_gp_shri; break;
-    case Op::SSrai: op.fn = fn_gp_srai; break;
+    case Op::SShli: code = Code::kGpShli; break;
+    case Op::SShri: code = Code::kGpShri; break;
+    case Op::SSrai: code = Code::kGpSrai; break;
     default:
       throw std::logic_error("append_gp_shift: not a GP shift op");
   }
-  op.dst = dst;
-  op.imm8 = imm8;
-  t.ops.push_back(op);
+  push(t, code, gp_reg(dst), 0, imm8);
 }
 
 void append_gp_load(NativeTrace& t, isa::Op o, uint8_t dst, uint32_t addr) {
-  NativeOp op;
   switch (o) {
-    case Op::SLoad16: op.fn = fn_gp_load16; break;
-    case Op::SLoad32: op.fn = fn_gp_load32; break;
-    case Op::SLoad64: op.fn = fn_gp_load64; break;
+    case Op::SLoad16:
+      return push_access(t, Code::kGpLoad16, gp_reg(dst), 0, addr, 2, false);
+    case Op::SLoad32:
+      return push_access(t, Code::kGpLoad32, gp_reg(dst), 0, addr, 4, false);
+    case Op::SLoad64:
+      return push_access(t, Code::kGpLoad64, gp_reg(dst), 0, addr, 8, false);
     default:
       throw std::logic_error("append_gp_load: not a GP load op");
   }
-  op.dst = dst;
-  op.addr = addr;
-  t.ops.push_back(op);
 }
 
 void append_gp_store(NativeTrace& t, isa::Op o, uint8_t src, uint32_t addr) {
-  NativeOp op;
   switch (o) {
-    case Op::SStore16: op.fn = fn_gp_store16; break;
-    case Op::SStore32: op.fn = fn_gp_store32; break;
-    case Op::SStore64: op.fn = fn_gp_store64; break;
+    case Op::SStore16:
+      return push_access(t, Code::kGpStore16, 0, gp_reg(src), addr, 2, true);
+    case Op::SStore32:
+      return push_access(t, Code::kGpStore32, 0, gp_reg(src), addr, 4, true);
+    case Op::SStore64:
+      return push_access(t, Code::kGpStore64, 0, gp_reg(src), addr, 8, true);
     default:
       throw std::logic_error("append_gp_store: not a GP store op");
   }
-  op.src = src;
-  op.addr = addr;
-  t.ops.push_back(op);
 }
 
 void append_gp_from_mmx(NativeTrace& t, uint8_t gp_dst, uint8_t mm_src) {
-  NativeOp op;
-  op.fn = fn_gp_from_mmx;
-  op.dst = gp_dst;
-  op.src = mm_src;
-  t.ops.push_back(op);
+  push(t, Code::kGpFromMmx, gp_reg(gp_dst), mmx_reg(mm_src));
 }
 
 void append_mmx_from_gp(NativeTrace& t, uint8_t mm_dst, uint8_t gp_src) {
-  NativeOp op;
-  op.fn = fn_mmx_from_gp;
-  op.dst = mm_dst;
-  op.src = gp_src;
-  t.ops.push_back(op);
+  push(t, Code::kMmxFromGp, mmx_reg(mm_dst), gp_reg(gp_src));
 }
 
-void append_alu(NativeTrace& t, const isa::Inst& in, int32_t route,
-                uint8_t route_flags) {
-  NativeOp op;
-  op.fn = route >= 0 ? fn_alu_routed : fn_alu;
-  op.u.alu = resolve_alu(in.op);
-  if (op.u.alu == nullptr) {
-    throw std::logic_error("append_alu: opcode has no ALU semantics");
+void append_alu(NativeTrace& t, const isa::Inst& in, uint32_t gather_a,
+                uint32_t gather_b) {
+  Code code;
+  const bool routed_op = gather_a != 0 || gather_b != 0;
+  switch (in.op) {
+#define SUBWORD_ALU_CASE(name, result)                       \
+  case Op::name:                                             \
+    code = routed_op ? Code::k##name##Routed : Code::k##name; \
+    break;
+    SUBWORD_MMX_ALU_OPS(SUBWORD_ALU_CASE)
+#undef SUBWORD_ALU_CASE
+    default:
+      throw std::logic_error("append_alu: opcode has no ALU semantics");
   }
-  op.dst = in.dst;
-  op.src = in.src;
-  op.route = route;
-  op.flags = route_flags;
-  if (in.src_is_imm) {
-    op.flags |= NativeOp::kCountImm;
-    op.imm8 = in.imm8;
+  if (gather_a > 0xFFFF || gather_b > 0xFFFF ||
+      std::max(gather_a, gather_b) > t.gathers.size()) {
+    throw std::logic_error("append_alu: gather index out of range");
   }
-  t.ops.push_back(op);
+  push(t, code, mmx_reg(in.dst), mmx_reg(in.src),
+       in.src_is_imm ? in.imm8 : 0, gather_a | gather_b << 16,
+       in.src_is_imm ? NativeOp::kCountImm : 0);
 }
 
 }  // namespace subword::backend

@@ -20,13 +20,20 @@ bool MediaKernel::verify_bound(const sim::Memory& /*mem*/,
 int compare_i16(const sim::Memory& mem, uint64_t addr,
                 const std::vector<int16_t>& expected,
                 const std::string& what, bool log_mismatches) {
+  // Lanes are stored in host order (sim::Memory), the order of `expected`.
+  const std::span<const uint8_t> got = mem.bytes(addr, expected.size() * 2);
+  if (expected.empty() ||
+      std::memcmp(got.data(), expected.data(), got.size()) == 0) {
+    return 0;
+  }
   int mismatches = 0;
   for (size_t i = 0; i < expected.size(); ++i) {
-    const auto got = static_cast<int16_t>(mem.read16(addr + 2 * i));
-    if (got != expected[i]) {
+    int16_t lane;
+    std::memcpy(&lane, got.data() + 2 * i, 2);
+    if (lane != expected[i]) {
       if (log_mismatches && mismatches < 5) {
         std::fprintf(stderr, "%s: mismatch at %zu: got %d want %d\n",
-                     what.c_str(), i, got, expected[i]);
+                     what.c_str(), i, lane, expected[i]);
       }
       ++mismatches;
     }

@@ -10,76 +10,22 @@ using isa::Op;
 
 bool has_alu_semantics(Op op) {
   switch (op) {
-    case Op::MovqLoad:
-    case Op::MovqStore:
-    case Op::MovdLoad:
-    case Op::MovdStore:
-    case Op::MovdToMmx:
-    case Op::MovdFromMmx:
-    case Op::Emms:
-      return false;
+#define SUBWORD_ALU_CASE(name, result) case Op::name:
+    SUBWORD_MMX_ALU_OPS(SUBWORD_ALU_CASE)
+#undef SUBWORD_ALU_CASE
+      return true;
     default:
-      return isa::op_info(op).is_mmx;
+      return false;
   }
 }
 
 Vec64 mmx_alu(Op op, Vec64 a, Vec64 b, uint64_t count) {
   switch (op) {
-    case Op::MovqRR:
-      return b;
-
-    case Op::Paddb: return sw::add<uint8_t>(a, b);
-    case Op::Paddw: return sw::add<uint16_t>(a, b);
-    case Op::Paddd: return sw::add<uint32_t>(a, b);
-    case Op::Psubb: return sw::sub<uint8_t>(a, b);
-    case Op::Psubw: return sw::sub<uint16_t>(a, b);
-    case Op::Psubd: return sw::sub<uint32_t>(a, b);
-
-    case Op::Paddsb: return sw::add_sat<int8_t>(a, b);
-    case Op::Paddsw: return sw::add_sat<int16_t>(a, b);
-    case Op::Paddusb: return sw::add_sat<uint8_t>(a, b);
-    case Op::Paddusw: return sw::add_sat<uint16_t>(a, b);
-    case Op::Psubsb: return sw::sub_sat<int8_t>(a, b);
-    case Op::Psubsw: return sw::sub_sat<int16_t>(a, b);
-    case Op::Psubusb: return sw::sub_sat<uint8_t>(a, b);
-    case Op::Psubusw: return sw::sub_sat<uint16_t>(a, b);
-
-    case Op::Pmullw: return sw::mullo16(a, b);
-    case Op::Pmulhw: return sw::mulhi16(a, b);
-    case Op::Pmaddwd: return sw::maddwd(a, b);
-
-    case Op::Pcmpeqb: return sw::cmpeq<uint8_t>(a, b);
-    case Op::Pcmpeqw: return sw::cmpeq<uint16_t>(a, b);
-    case Op::Pcmpeqd: return sw::cmpeq<uint32_t>(a, b);
-    case Op::Pcmpgtb: return sw::cmpgt<int8_t>(a, b);
-    case Op::Pcmpgtw: return sw::cmpgt<int16_t>(a, b);
-    case Op::Pcmpgtd: return sw::cmpgt<int32_t>(a, b);
-
-    case Op::Pand: return sw::and_(a, b);
-    case Op::Pandn: return sw::andn(a, b);
-    case Op::Por: return sw::or_(a, b);
-    case Op::Pxor: return sw::xor_(a, b);
-
-    case Op::Psllw: return sw::shl<uint16_t>(a, count);
-    case Op::Pslld: return sw::shl<uint32_t>(a, count);
-    case Op::Psllq: return sw::shl<uint64_t>(a, count);
-    case Op::Psrlw: return sw::shr_logical<uint16_t>(a, count);
-    case Op::Psrld: return sw::shr_logical<uint32_t>(a, count);
-    case Op::Psrlq: return sw::shr_logical<uint64_t>(a, count);
-    case Op::Psraw: return sw::shr_arith<int16_t>(a, count);
-    case Op::Psrad: return sw::shr_arith<int32_t>(a, count);
-
-    case Op::Packsswb: return sw::pack_sswb(a, b);
-    case Op::Packssdw: return sw::pack_ssdw(a, b);
-    case Op::Packuswb: return sw::pack_uswb(a, b);
-
-    case Op::Punpcklbw: return sw::unpack_lo<uint8_t>(a, b);
-    case Op::Punpcklwd: return sw::unpack_lo<uint16_t>(a, b);
-    case Op::Punpckldq: return sw::unpack_lo<uint32_t>(a, b);
-    case Op::Punpckhbw: return sw::unpack_hi<uint8_t>(a, b);
-    case Op::Punpckhwd: return sw::unpack_hi<uint16_t>(a, b);
-    case Op::Punpckhdq: return sw::unpack_hi<uint32_t>(a, b);
-
+#define SUBWORD_ALU_CASE(name, result) \
+  case Op::name:                       \
+    return result;
+    SUBWORD_MMX_ALU_OPS(SUBWORD_ALU_CASE)
+#undef SUBWORD_ALU_CASE
     default:
       throw std::logic_error("mmx_alu: opcode has no ALU semantics");
   }

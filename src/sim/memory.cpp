@@ -89,6 +89,19 @@ void Memory::restore(const MemoryImage& image) {
   dirty_ = image.page_mask;
 }
 
+uint8_t* Memory::mark_written(std::span<const uint64_t> page_mask) {
+  const size_t pages = page_count(size());
+  for (size_t w = 0; w < page_mask.size(); ++w) {
+    if (w * 64 + static_cast<size_t>(std::bit_width(page_mask[w])) > pages) {
+      throw std::invalid_argument(
+          "Memory::mark_written: page mask names pages past the end of a " +
+          std::to_string(pages) + "-page arena");
+    }
+  }
+  for (size_t w = 0; w < page_mask.size(); ++w) dirty_[w] |= page_mask[w];
+  return bytes_.data();
+}
+
 void Memory::check_range(uint64_t addr, uint64_t len) const {
   if (addr + len > bytes_.size() || addr + len < addr) {
     throw std::out_of_range("Memory access out of range: addr=" +

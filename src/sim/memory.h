@@ -8,7 +8,8 @@
 // pages it touches. That is what lets clear() zero only the marked pages,
 // and restore() reset an arena to a captured MemoryImage by touching only
 // the pages either side may have changed. The tracking stays exact
-// because the arena exposes no mutable byte pointer.
+// because the arena's only mutable byte pointer comes from mark_written,
+// which marks the pages its caller declares it will write.
 #pragma once
 
 #include <cstddef>
@@ -111,21 +112,14 @@ class Memory {
     std::memcpy(bytes_.data() + addr, data.data(), data.size_bytes());
   }
 
+  // read_vector copies `count` elements out with one range check and one
+  // copy, the inverse of write_span; it too addresses arena bytes only.
   template <typename T>
   [[nodiscard]] std::vector<T> read_vector(uint64_t addr, size_t count) const {
+    static_assert(std::is_integral_v<T>);
+    const std::span<const uint8_t> src = bytes(addr, count * sizeof(T));
     std::vector<T> out(count);
-    for (size_t i = 0; i < count; ++i) {
-      if constexpr (sizeof(T) == 2) {
-        out[i] = static_cast<T>(read16(addr + 2 * i));
-      } else if constexpr (sizeof(T) == 4) {
-        out[i] = static_cast<T>(
-            const_cast<Memory*>(this)->read32(addr + 4 * i));
-      } else if constexpr (sizeof(T) == 8) {
-        out[i] = static_cast<T>(read64(addr + 8 * i));
-      } else {
-        out[i] = static_cast<T>(read8(addr + i));
-      }
-    }
+    if (count != 0) std::memcpy(out.data(), src.data(), src.size());
     return out;
   }
 
@@ -158,10 +152,29 @@ class Memory {
 
   // Read-only view of the whole arena (whole-arena comparisons).
   [[nodiscard]] std::span<const uint8_t> bytes() const { return bytes_; }
+  // Read-only view of [addr, addr+len) of the arena (bounds checked).
+  [[nodiscard]] std::span<const uint8_t> bytes(uint64_t addr,
+                                               uint64_t len) const {
+    check_range(addr, len);
+    return {bytes_.data() + addr, static_cast<size_t>(len)};
+  }
+
+  // Raw access for a replay whose every address was checked in advance
+  // (backend::run_trace): marks the pages set in `page_mask`, one bit per
+  // page as in MemoryImage::page_mask, and returns the arena's first byte.
+  // The tracking stays exact only while the caller writes inside those
+  // pages alone. Throws std::invalid_argument when the mask names pages
+  // past the end of the arena.
+  [[nodiscard]] uint8_t* mark_written(std::span<const uint64_t> page_mask);
 
   [[nodiscard]] bool in_device_window(uint64_t addr) const {
     return device_ != nullptr && addr >= device_base_ &&
            addr < device_base_ + device_size_;
+  }
+  // True if a device window overlaps the byte range [lo, hi).
+  [[nodiscard]] bool device_overlaps(uint64_t lo, uint64_t hi) const {
+    return device_ != nullptr && lo < device_base_ + device_size_ &&
+           device_base_ < hi;
   }
 
  private:

@@ -11,6 +11,7 @@
 // paths for programs that genuinely cannot be lowered.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -366,6 +367,96 @@ TEST(BackendNativeArena, ForeignWriteIsUndoneByTheNextRestore) {
   EXPECT_EQ(std::memcmp(scratch.bytes().data(), reference.bytes().data(),
                         kernels::kMemBytes),
             0);
+}
+
+// -- Once-per-replay checks --------------------------------------------------
+// run_trace checks the arena once and marks the trace's precomputed
+// written pages once, instead of bounds-checking and marking per op.
+
+bool all_zero(const sim::Memory& mem) {
+  const auto b = mem.bytes();
+  return std::all_of(b.begin(), b.end(), [](uint8_t v) { return v == 0; });
+}
+
+void replay(const PreparedProgram& p, sim::Memory& mem) {
+  backend::NativeState st;
+  st.mem = &mem;
+  backend::run_trace(*p.native, st);
+}
+
+// clear() zeroes only the marked pages, so an all-zero arena after a replay
+// proves the written-page mask covers every store; restoring the image
+// over a replayed arena must give back exactly the image.
+TEST(BackendNativeArena, WrittenPageMaskCoversEveryStore) {
+  for (const auto& kind : native_shapes_by_kind()) {
+    for (const NativeShape& shape : kind) {
+      SCOPED_TRACE(shape.name);
+      const backend::NativeTrace& t = *shape.prepared.native;
+      sim::Memory image(kernels::kMemBytes);
+      image.restore(t.image);
+
+      sim::Memory mem(kernels::kMemBytes);
+      mem.restore(t.image);
+      replay(shape.prepared, mem);
+      ASSERT_TRUE(shape.kernel->verify(mem));
+      mem.restore(t.image);
+      EXPECT_EQ(std::memcmp(mem.bytes().data(), image.bytes().data(),
+                            kernels::kMemBytes),
+                0)
+          << "a second restore does not reproduce the image";
+      replay(shape.prepared, mem);
+      mem.clear();
+      EXPECT_TRUE(all_zero(mem)) << "a store wrote outside the marked pages";
+    }
+  }
+}
+
+// A device that must never be reached: a replay checks its window first.
+class UntouchableDevice : public sim::Device {
+ public:
+  void write32(uint64_t, uint32_t) override { ADD_FAILURE() << "write32"; }
+  uint32_t read32(uint64_t) override {
+    ADD_FAILURE() << "read32";
+    return 0;
+  }
+};
+
+// A wrong-size arena, or a device window over the trace's accesses, is
+// rejected before the replay writes anything. A window clear of the
+// accesses is fine.
+TEST(BackendNativeArena, ReplayRejectsAMismatchedArenaUntouched) {
+  UntouchableDevice dev;
+  for (const auto& kind : native_shapes_by_kind()) {
+    for (const NativeShape& shape : kind) {
+      SCOPED_TRACE(shape.name);
+      const backend::NativeTrace& t = *shape.prepared.native;
+      ASSERT_LT(t.span_lo, t.span_hi);
+
+      sim::Memory small(kernels::kMemBytes / 2);
+      EXPECT_THROW(replay(shape.prepared, small), std::invalid_argument);
+      EXPECT_TRUE(all_zero(small));
+
+      for (const uint64_t base : {t.span_lo, t.span_hi - 4}) {
+        sim::Memory mem(kernels::kMemBytes);
+        mem.restore(t.image);
+        const std::vector<uint8_t> before(mem.bytes().begin(),
+                                          mem.bytes().end());
+        mem.map_device(base, 4, &dev);
+        EXPECT_THROW(replay(shape.prepared, mem), std::invalid_argument)
+            << "window at " << base;
+        EXPECT_TRUE(std::equal(before.begin(), before.end(),
+                               mem.bytes().begin()));
+      }
+
+      if (t.span_hi + 8 <= kernels::kMemBytes) {
+        sim::Memory mem(kernels::kMemBytes);
+        mem.restore(t.image);
+        mem.map_device(t.span_hi, 8, &dev);
+        replay(shape.prepared, mem);
+        EXPECT_TRUE(shape.kernel->verify(mem));
+      }
+    }
+  }
 }
 
 // -- Lowering rejection paths ------------------------------------------------
