@@ -17,8 +17,8 @@ void SpuMmio::write32(uint64_t offset, uint32_t value) {
     return;
   }
   if (offset == kCntr0 || offset == kCntr1) {
-    auto& prog = spu_->context(spu_->selected_context());
-    prog.reload[offset == kCntr0 ? 0 : 1] = value;
+    spu_->set_reload(spu_->selected_context(), offset == kCntr0 ? 0 : 1,
+                     value);
     return;
   }
   if (offset >= kStateBase && offset < kWindowSize) {
@@ -28,21 +28,24 @@ void SpuMmio::write32(uint64_t offset, uint32_t value) {
     if (state >= kNumStates) {
       throw std::out_of_range("SpuMmio: state index out of range");
     }
-    auto& st = spu_->context(spu_->selected_context()).states[state];
+    const int ctx = spu_->selected_context();
+    SpuState st = spu_->context(ctx).states[state];
     if (field == 0) {
       st.cntr_sel = static_cast<uint8_t>(value & 1);
       st.next0 = static_cast<uint8_t>((value >> 8) & 0x7F);
       st.next1 = static_cast<uint8_t>((value >> 16) & 0x7F);
-      return;
+    } else {
+      const uint32_t word = (field - 4) / 4;
+      if (field % 4 != 0 || word >= kRouteWords) {
+        throw std::out_of_range("SpuMmio: unaligned state field write");
+      }
+      for (int j = 0; j < 4; ++j) {
+        st.route.sel[static_cast<size_t>(4 * word + static_cast<uint32_t>(j))] =
+            static_cast<uint8_t>((value >> (8 * j)) & 0xFF);
+      }
     }
-    const uint32_t word = (field - 4) / 4;
-    if (field % 4 != 0 || word >= kRouteWords) {
-      throw std::out_of_range("SpuMmio: unaligned state field write");
-    }
-    for (int j = 0; j < 4; ++j) {
-      st.route.sel[static_cast<size_t>(4 * word + static_cast<uint32_t>(j))] =
-          static_cast<uint8_t>((value >> (8 * j)) & 0xFF);
-    }
+    // Through set_state, so the context is revalidated at the next GO.
+    spu_->set_state(ctx, static_cast<int>(state), st);
     return;
   }
   throw std::out_of_range("SpuMmio: write outside register window");

@@ -16,6 +16,9 @@
 //                     0xFF = straight)
 //
 // Reads return the same encoding (plus live status in CONFIG bit 31).
+// A state control or route write marks the selected context for
+// revalidation at its next GO (Spu::set_state); CNTR and CONFIG writes do
+// not.
 #pragma once
 
 #include <cstddef>

@@ -4,11 +4,54 @@
 
 namespace subword::core {
 
+namespace {
+
+// Bit 2*pipe+operand of the result is set when that operand slice of the
+// route has at least one routed byte.
+uint8_t routed_slices(const Route& r) {
+  uint8_t bits = 0;
+  for (const sim::Pipe pipe : {sim::Pipe::U, sim::Pipe::V}) {
+    for (int operand = 0; operand < 2; ++operand) {
+      if (r.routes_operand(pipe, operand)) {
+        bits |= static_cast<uint8_t>(1u << (2 * static_cast<int>(pipe) +
+                                            operand));
+      }
+    }
+  }
+  return bits;
+}
+
+}  // namespace
+
 Spu::Spu(CrossbarConfig cfg, int num_contexts) : cfg_(cfg) {
   if (num_contexts < 1) {
     throw std::invalid_argument("Spu: need at least one context");
   }
   contexts_.resize(static_cast<size_t>(num_contexts));
+  facts_.resize(static_cast<size_t>(num_contexts));
+}
+
+void Spu::load_context(int i, const SpuProgram& prog) {
+  contexts_.at(static_cast<size_t>(i)) = prog;
+  ContextFacts& f = facts_[static_cast<size_t>(i)];
+  f.validated = false;
+  for (int s = 0; s < kNumStates; ++s) {
+    f.routed[static_cast<size_t>(s)] =
+        routed_slices(prog.states[static_cast<size_t>(s)].route);
+  }
+}
+
+void Spu::set_state(int i, int state, const SpuState& st) {
+  auto& states = contexts_.at(static_cast<size_t>(i)).states;
+  states.at(static_cast<size_t>(state)) = st;
+  ContextFacts& f = facts_[static_cast<size_t>(i)];
+  f.validated = false;
+  f.routed[static_cast<size_t>(state)] = routed_slices(st.route);
+}
+
+void Spu::set_reload(int i, int counter, uint32_t value) {
+  contexts_.at(static_cast<size_t>(i)).reload.at(static_cast<size_t>(counter)) =
+      value;
 }
 
 void Spu::select_context(int i) {
@@ -20,10 +63,14 @@ void Spu::select_context(int i) {
 
 void Spu::go() {
   const auto& prog = contexts_[static_cast<size_t>(cur_context_)];
-  const auto v = prog.violation(cfg_);
-  if (!v.empty()) {
-    throw std::logic_error("Spu::go: microprogram violates crossbar "
-                           "configuration: " + v);
+  ContextFacts& f = facts_[static_cast<size_t>(cur_context_)];
+  if (!f.validated) {
+    const auto v = prog.violation(cfg_);
+    if (!v.empty()) {
+      throw std::logic_error("Spu::go: microprogram violates crossbar "
+                             "configuration: " + v);
+    }
+    f.validated = true;
   }
   go_ = true;
   cur_state_ = 0;
@@ -46,20 +93,20 @@ bool Spu::route(const isa::Inst& /*in*/, sim::Pipe pipe,
                 const sim::MmxRegFile& regs, swar::Vec64* a,
                 swar::Vec64* b) {
   if (!go_) return false;
-  const auto& st =
-      contexts_[static_cast<size_t>(cur_context_)].states[cur_state_];
-  bool any = false;
-  if (st.route.routes_operand(pipe, 0)) {
-    *a = apply_route(st.route, pipe, 0, regs, *a);
-    any = true;
+  const auto c = static_cast<size_t>(cur_context_);
+  const unsigned slices =
+      facts_[c].routed[cur_state_] >> (2 * static_cast<int>(pipe));
+  if ((slices & 3u) == 0) return false;
+  const Route& route = contexts_[c].states[cur_state_].route;
+  if ((slices & 1u) != 0) {
+    *a = apply_route(route, pipe, 0, regs, *a);
     ++stats_.routed_operands;
   }
-  if (st.route.routes_operand(pipe, 1)) {
-    *b = apply_route(st.route, pipe, 1, regs, *b);
-    any = true;
+  if ((slices & 2u) != 0) {
+    *b = apply_route(route, pipe, 1, regs, *b);
     ++stats_.routed_operands;
   }
-  return any;
+  return true;
 }
 
 void Spu::retire(const isa::Inst& /*in*/) {

@@ -23,9 +23,17 @@
 //  * The activating MMIO store itself does not step the controller
 //    (arm_activation_skip), so state 0 aligns with the first loop-body
 //    instruction after GO.
-//  * While idle/stopped the router passes operands through unrouted;
-//    go() re-validates the selected context against the crossbar
-//    configuration and throws rather than route an illegal program.
+//  * While idle/stopped the router passes operands through unrouted.
+//  * Validate once per programming: every change to a context's states or
+//    routes (load_context, set_state, and so the MMIO state and route
+//    writes) marks that context, and go() re-runs
+//    SpuProgram::violation() only for a marked context, throwing rather
+//    than route an illegal program. Counter reloads and CONFIG writes do
+//    not mark. No mutable reference to a context is handed out, so no
+//    change can bypass the mark.
+//  * Each state's routed operand slices (pipe x operand) are kept as bits
+//    updated with every state change, so route() gathers only the slices
+//    that have a routed byte without scanning the selectors.
 #pragma once
 
 #include <array>
@@ -53,19 +61,24 @@ class Spu final : public sim::OperandRouter {
     return static_cast<int>(contexts_.size());
   }
 
-  // Direct programming interface (tests / builders). MMIO programming in
-  // mmio.h writes through to these.
-  [[nodiscard]] SpuProgram& context(int i) { return contexts_.at(i); }
   [[nodiscard]] const SpuProgram& context(int i) const {
     return contexts_.at(i);
   }
+  // Programming interface (tests / builders); the MMIO registers of
+  // mmio.h write through set_reload and set_state. Replacing a whole
+  // context or one of its states marks the context for revalidation at
+  // the next go(); a counter reload does not.
+  void load_context(int i, const SpuProgram& prog);
+  void set_state(int i, int state, const SpuState& st);
+  void set_reload(int i, int counter, uint32_t value);
   [[nodiscard]] int selected_context() const { return cur_context_; }
   void select_context(int i);
 
   // Activate: validates the selected context against the crossbar
-  // configuration (throws std::logic_error on violation), enters state 0
-  // and loads the counters. The activating MMIO store itself does not step
-  // the controller.
+  // configuration if it changed since it last passed (throws
+  // std::logic_error on violation), enters state 0 and loads the
+  // counters. The activating MMIO store itself does not step the
+  // controller.
   void go();
   // Deactivate (exception handlers write this; paper §4).
   void stop();
@@ -86,8 +99,16 @@ class Spu final : public sim::OperandRouter {
   void arm_activation_skip() { skip_next_retire_ = true; }
 
  private:
+  // Per-context facts derived from its states.
+  struct ContextFacts {
+    bool validated = false;  // passed violation() since its last change
+    // Bit 2*pipe+operand set when that operand slice has a routed byte.
+    std::array<uint8_t, kNumStates> routed{};
+  };
+
   CrossbarConfig cfg_;
   std::vector<SpuProgram> contexts_;
+  std::vector<ContextFacts> facts_;
   int cur_context_ = 0;
   uint8_t cur_state_ = kIdleState;
   std::array<uint32_t, kNumCounters> counter_{};

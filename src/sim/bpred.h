@@ -46,16 +46,22 @@ class BranchPredictor {
   [[nodiscard]] PredictorKind kind() const { return kind_; }
 
  private:
-  struct Entry {
-    uint8_t history = 0;             // last 8 outcomes, LSB = most recent
-    std::vector<uint8_t> counters;   // 2-bit counters, one per pattern
-  };
-
-  [[nodiscard]] size_t index(uint64_t pc) const { return pc & mask_; }
+  // Both kinds share one layout: a pattern table of 2-bit counters, packed
+  // four per byte, indexed by (entry, local history). TwoBit keeps one
+  // pattern per entry (its history mask is zero), LocalHistory 2^8.
+  [[nodiscard]] size_t slot(uint64_t pc) const {
+    const size_t e = pc & mask_;
+    return (e << history_bits_) | (history_[e] & history_mask_);
+  }
+  [[nodiscard]] uint8_t counter(size_t slot) const {
+    return (counters_[slot >> 2] >> (2 * (slot & 3))) & 3;
+  }
 
   PredictorKind kind_;
-  std::vector<uint8_t> counters_;  // TwoBit mode: 0..3; >=2 predicts taken
-  std::vector<Entry> entries_;     // LocalHistory mode
+  int history_bits_;
+  uint8_t history_mask_;
+  std::vector<uint8_t> history_;   // per entry: last 8 outcomes, LSB newest
+  std::vector<uint8_t> counters_;  // packed 2-bit counters; >=2 predicts taken
   size_t mask_;
 };
 

@@ -28,6 +28,7 @@ Machine::Machine(std::shared_ptr<const isa::Program> program,
   if (prog_ == nullptr || prog_->empty()) {
     throw std::invalid_argument("Machine: empty program");
   }
+  decode();
 }
 
 void Machine::reset(isa::Program program, PipelineConfig cfg) {
@@ -58,51 +59,84 @@ void Machine::reset(std::shared_ptr<const isa::Program> program,
   halted_ = false;
   started_ = false;
   ready_.fill(0);
+  decode();
 }
 
-bool Machine::operands_ready(const Inst& in, uint64_t cycle) const {
-  const RegSet rs = regs_read(in);
-  for (int i = 0; i < rs.count; ++i) {
-    if (ready_[rs.ids[i]] > cycle) return false;
+void Machine::decode() {
+  const std::vector<Inst>& insts = prog_->insts();
+  decoded_.resize(insts.size());
+  for (size_t i = 0; i < insts.size(); ++i) {
+    const Inst& in = insts[i];
+    const auto& info = isa::op_info(in.op);
+    Decoded& d = decoded_[i];
+    d.reads = regs_read(in);
+    d.writes = regs_written(in);
+    d.latency = info.latency;
+    d.is_mmx = info.is_mmx;
+    if (info.is_mmx) {
+      if (info.is_permutation) {
+        d.category = Category::MmxPermutation;
+      } else if (info.cls == ExecClass::MmxLoad ||
+                 info.cls == ExecClass::MmxStore) {
+        d.category = Category::MmxMemory;
+      } else {
+        d.category = Category::MmxCompute;
+      }
+    } else {
+      d.category = info.cls == ExecClass::Branch ? Category::Branch
+                                                 : Category::Scalar;
+    }
+    d.pairs_with_next = i + 1 < insts.size() && can_pair(in, insts[i + 1]);
+  }
+}
+
+bool Machine::operands_ready(const Decoded& d, uint64_t cycle) const {
+  for (int i = 0; i < d.reads.count; ++i) {
+    if (ready_[d.reads.ids[i]] > cycle) return false;
   }
   return true;
 }
 
-void Machine::account_category(const Inst& in) {
-  const auto& info = isa::op_info(in.op);
+void Machine::account_category(const Decoded& d) {
   ++stats_.instructions;
-  if (info.is_mmx) {
-    ++stats_.mmx_instructions;
-    if (info.is_permutation) {
-      ++stats_.mmx_permutation;
-    } else if (info.cls == ExecClass::MmxLoad ||
-               info.cls == ExecClass::MmxStore) {
-      ++stats_.mmx_memory;
-    } else {
+  switch (d.category) {
+    case Category::MmxCompute:
+      ++stats_.mmx_instructions;
       ++stats_.mmx_compute;
-    }
-  } else {
-    ++stats_.scalar_instructions;
-    if (info.cls == ExecClass::Branch) ++stats_.branches;
+      break;
+    case Category::MmxPermutation:
+      ++stats_.mmx_instructions;
+      ++stats_.mmx_permutation;
+      break;
+    case Category::MmxMemory:
+      ++stats_.mmx_instructions;
+      ++stats_.mmx_memory;
+      break;
+    case Category::Scalar:
+      ++stats_.scalar_instructions;
+      break;
+    case Category::Branch:
+      ++stats_.scalar_instructions;
+      ++stats_.branches;
+      break;
   }
 }
 
-uint64_t Machine::execute(const Inst& in, Pipe pipe, bool* was_branch,
-                          bool* mispredicted) {
+uint64_t Machine::execute(const Inst& in, const Decoded& d, Pipe pipe,
+                          bool* was_branch, bool* mispredicted) {
   *was_branch = false;
   *mispredicted = false;
-  const auto& info = isa::op_info(in.op);
   uint64_t next = pc_ + (pipe == Pipe::U ? 1 : 2);
   // NOTE: `next` above is only a default — the caller advances pc; we return
   // the *target* pc for branches and pc+1 semantics otherwise via the
   // caller's bookkeeping. For non-branch ops the return value is ignored.
 
-  if (info.is_mmx) {
+  if (d.is_mmx) {
     switch (in.op) {
       case Op::MovqLoad: {
         const uint64_t addr = gp_.read(in.base) + static_cast<int64_t>(in.disp);
         mmx_.write(in.dst, Vec64{mem_.read64(addr)});
-        ready_[in.dst] = cycle_ + info.latency;
+        ready_[in.dst] = cycle_ + d.latency;
         break;
       }
       case Op::MovqStore: {
@@ -113,7 +147,7 @@ uint64_t Machine::execute(const Inst& in, Pipe pipe, bool* was_branch,
       case Op::MovdLoad: {
         const uint64_t addr = gp_.read(in.base) + static_cast<int64_t>(in.disp);
         mmx_.write(in.dst, Vec64{static_cast<uint64_t>(mem_.read32(addr))});
-        ready_[in.dst] = cycle_ + info.latency;
+        ready_[in.dst] = cycle_ + d.latency;
         break;
       }
       case Op::MovdStore: {
@@ -123,11 +157,11 @@ uint64_t Machine::execute(const Inst& in, Pipe pipe, bool* was_branch,
       }
       case Op::MovdToMmx:
         mmx_.write(in.dst, Vec64{gp_.read(in.src) & 0xFFFFFFFFull});
-        ready_[in.dst] = cycle_ + info.latency;
+        ready_[in.dst] = cycle_ + d.latency;
         break;
       case Op::MovdFromMmx:
         gp_.write(in.dst, mmx_.read(in.src).bits() & 0xFFFFFFFFull);
-        ready_[kGpBase + in.dst] = cycle_ + info.latency;
+        ready_[kGpBase + in.dst] = cycle_ + d.latency;
         break;
       case Op::Emms:
         break;
@@ -142,7 +176,7 @@ uint64_t Machine::execute(const Inst& in, Pipe pipe, bool* was_branch,
         }
         const uint64_t count = in.src_is_imm ? in.imm8 : b.bits();
         mmx_.write(in.dst, mmx_alu(in.op, a, b, count));
-        ready_[in.dst] = cycle_ + info.latency;
+        ready_[in.dst] = cycle_ + d.latency;
         break;
       }
     }
@@ -266,15 +300,14 @@ uint64_t Machine::execute(const Inst& in, Pipe pipe, bool* was_branch,
         throw std::logic_error("Machine: unhandled opcode");
     }
     // Scalar writers become ready next cycle (latency from the table).
-    const RegSet ws = regs_written(in);
-    for (int i = 0; i < ws.count; ++i) {
-      if (ws.ids[i] >= kGpBase) {
-        ready_[ws.ids[i]] = cycle_ + info.latency;
+    for (int i = 0; i < d.writes.count; ++i) {
+      if (d.writes.ids[i] >= kGpBase) {
+        ready_[d.writes.ids[i]] = cycle_ + d.latency;
       }
     }
   }
 
-  account_category(in);
+  account_category(d);
   if (router_ != nullptr) router_->retire(in);
   if (trace_) {
     TraceEvent ev;
@@ -301,38 +334,42 @@ const RunStats& Machine::run_for_instructions(uint64_t n) {
   const int mispredict_penalty =
       cfg_.mispredict_penalty + (cfg_.extra_spu_stage ? 1 : 0);
   uint64_t retired = 0;
+  const std::vector<Inst>& insts = prog_->insts();
 
   while (!halted_ && retired < n) {
     if (cycle_ >= cfg_.max_cycles) {
       throw std::runtime_error("Machine: cycle limit exceeded");
     }
-    if (pc_ >= prog_->size()) {
+    if (pc_ >= insts.size()) {
       throw std::runtime_error("Machine: pc ran off the program");
     }
-    const Inst& u = prog_->at(pc_);
-    if (!operands_ready(u, cycle_)) {
+    const Decoded& du = decoded_[pc_];
+    if (!operands_ready(du, cycle_)) {
       ++stats_.stall_cycles;
       ++cycle_;
       continue;
     }
 
     bool u_branch = false, u_mispredict = false;
-    const uint64_t u_next = execute(u, Pipe::U, &u_branch, &u_mispredict);
+    const uint64_t u_next =
+        execute(insts[pc_], du, Pipe::U, &u_branch, &u_mispredict);
     ++retired;
-    bool issued_mmx = isa::op_info(u.op).is_mmx;
+    bool issued_mmx = du.is_mmx;
     bool dual = false;
     bool v_branch = false, v_mispredict = false;
     uint64_t v_next = 0;
 
+    // pairs_with_next is false for the last instruction, so pc_ + 1 is
+    // in range whenever it is set.
     const bool u_diverts = u_branch || halted_;
-    if (cfg_.dual_issue && !u_diverts && pc_ + 1 < prog_->size() &&
-        retired < n) {
-      const Inst& v = prog_->at(pc_ + 1);
-      if (can_pair(u, v) && operands_ready(v, cycle_)) {
-        v_next = execute(v, Pipe::V, &v_branch, &v_mispredict);
+    if (cfg_.dual_issue && !u_diverts && du.pairs_with_next && retired < n) {
+      const Decoded& dv = decoded_[pc_ + 1];
+      if (operands_ready(dv, cycle_)) {
+        v_next =
+            execute(insts[pc_ + 1], dv, Pipe::V, &v_branch, &v_mispredict);
         ++retired;
         dual = true;
-        issued_mmx = issued_mmx || isa::op_info(v.op).is_mmx;
+        issued_mmx = issued_mmx || dv.is_mmx;
       }
     }
 

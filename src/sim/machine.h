@@ -10,6 +10,14 @@
 //  * an OperandRouter hook through which the SPU intercepts operand fetch.
 //
 // Code and data are assumed L1-resident (paper §5.2.1): loads are 1 cycle.
+//
+// Decode once per job: construction and reset() decode the program into a
+// per-instruction table (unified registers read and written, execution
+// class, latency, statistics category, and whether the instruction pairs
+// with its successor under can_pair). The run loop's readiness, pairing,
+// scoreboard and category accounting read only that table. The table lives
+// in a buffer the Machine keeps across resets; regs_read/regs_written/
+// can_pair in pairing.h stay the single definitions it is built from.
 #pragma once
 
 #include <array>
@@ -19,6 +27,7 @@
 #include <memory>
 #include <optional>
 #include <utility>
+#include <vector>
 
 #include "isa/program.h"
 #include "sim/bpred.h"
@@ -68,9 +77,9 @@ class Machine {
 
   // Reset for reuse between jobs: replaces the program and pipeline
   // configuration, zeroes memory and architectural state, detaches router,
-  // trace and device mapping, and clears statistics. Keeps the memory
-  // allocation — the batch runtime resets one Machine per worker instead of
-  // reallocating the arena per job.
+  // trace and device mapping, clears statistics and decodes the new
+  // program. Keeps the memory and decode-table allocations — the batch
+  // runtime resets one Machine per worker instead of reallocating per job.
   void reset(isa::Program program, PipelineConfig cfg = {});
   void reset(std::shared_ptr<const isa::Program> program,
              PipelineConfig cfg = {});
@@ -87,15 +96,35 @@ class Machine {
   [[nodiscard]] uint64_t pc() const { return pc_; }
 
  private:
+  // Statistics category of an instruction (RunStats' §5.2.1 split).
+  enum class Category : uint8_t {
+    MmxCompute,
+    MmxPermutation,
+    MmxMemory,
+    Scalar,
+    Branch,
+  };
+
+  // The static facts the run loop needs about one program instruction.
+  struct Decoded {
+    RegSet reads;   // unified register ids
+    RegSet writes;
+    uint8_t latency = 1;
+    Category category = Category::Scalar;
+    bool is_mmx = false;
+    bool pairs_with_next = false;  // can_pair(insts[i], insts[i + 1])
+  };
+
+  void decode();
   // Executes one instruction architecturally; updates stats categories and
   // the register scoreboard. Returns the next pc.
-  uint64_t execute(const isa::Inst& in, Pipe pipe, bool* was_branch,
-                   bool* mispredicted);
-  [[nodiscard]] bool operands_ready(const isa::Inst& in,
-                                    uint64_t cycle) const;
-  void account_category(const isa::Inst& in);
+  uint64_t execute(const isa::Inst& in, const Decoded& d, Pipe pipe,
+                   bool* was_branch, bool* mispredicted);
+  [[nodiscard]] bool operands_ready(const Decoded& d, uint64_t cycle) const;
+  void account_category(const Decoded& d);
 
   std::shared_ptr<const isa::Program> prog_;
+  std::vector<Decoded> decoded_;  // one entry per program instruction
   Memory mem_;
   PipelineConfig cfg_;
   MmxRegFile mmx_;

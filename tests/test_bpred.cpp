@@ -97,6 +97,38 @@ TEST(Predictor, ResetRestoresColdState) {
   }
 }
 
+TEST(Predictor, ResetPredictsLikeAFreshPredictor) {
+  // A worker's Machine reuses one predictor across jobs, so reset() must
+  // leave no trace of training: over a seeded stream of branch outcomes a
+  // trained-then-reset predictor agrees with a fresh one at every step.
+  for (auto kind : {PredictorKind::TwoBit, PredictorKind::LocalHistory}) {
+    uint64_t seed = 0x9E3779B97F4A7C15ull;
+    auto next = [&seed] {
+      seed += 0x9E3779B97F4A7C15ull;
+      uint64_t z = seed;
+      z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+      z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+      return z ^ (z >> 31);
+    };
+    BranchPredictor trained(1024, kind);
+    for (int i = 0; i < 20000; ++i) {
+      const uint64_t r = next();
+      trained.update(r % 1500, (r >> 32) % 3 != 0);
+    }
+    trained.reset();
+    BranchPredictor fresh(1024, kind);
+    for (int i = 0; i < 20000; ++i) {
+      const uint64_t r = next();
+      const uint64_t pc = r % 1500;
+      // A mix of loop-like (mostly taken) and random outcomes.
+      const bool taken = pc % 2 == 0 ? (r >> 32) % 8 != 0 : (r >> 40) % 2 == 0;
+      ASSERT_EQ(trained.predict(pc), fresh.predict(pc)) << "step " << i;
+      ASSERT_EQ(trained.update(pc, taken), fresh.update(pc, taken))
+          << "step " << i;
+    }
+  }
+}
+
 TEST(Predictor, KindIsReported) {
   EXPECT_EQ(BranchPredictor(64).kind(), PredictorKind::LocalHistory);
   EXPECT_EQ(BranchPredictor(64, PredictorKind::TwoBit).kind(),

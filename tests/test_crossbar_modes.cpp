@@ -135,7 +135,7 @@ TEST(Modes, WideningReplacesUnpackShiftSequence) {
   r.set_operand_both_pipes(1, srcs);
   mb.add_state(r);
   mb.seal_simple_loop(1);
-  spu.context(0) = mb.program();
+  spu.load_context(0, mb.program());
   spu.go();
 
   MmxRegFile regs;

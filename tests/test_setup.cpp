@@ -55,7 +55,7 @@ TEST(Setup, GoAndStopEncodeContextBits) {
   MicroBuilder mb(kConfigA);
   mb.add_straight_state();
   mb.seal_simple_loop(1);
-  spu.context(3) = mb.program();
+  spu.load_context(3, mb.program());
   SpuMmio mmio(&spu);
   m.memory().map_device(0x1000, SpuMmio::kWindowSize, &mmio);
   m.set_router(&spu);

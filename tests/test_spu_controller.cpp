@@ -42,7 +42,7 @@ TEST(SpuController, Figure7DotProductSchedule) {
   mb.add_straight_state();
   mb.seal_simple_loop(10);
   EXPECT_EQ(mb.program().reload[0], 30u);
-  spu.context(0) = mb.program();
+  spu.load_context(0, mb.program());
   spu.go();
 
   EXPECT_TRUE(spu.active());
@@ -67,7 +67,7 @@ TEST(SpuController, StateSequenceAppliesRoutesInOrder) {
   mb.add_state(broadcast_route(1, 1, 0));  // state 0: operand b <- MM1.b0
   mb.add_state(broadcast_route(1, 2, 0));  // state 1: operand b <- MM2.b0
   mb.seal_simple_loop(1);
-  spu.context(0) = mb.program();
+  spu.load_context(0, mb.program());
   spu.go();
 
   MmxRegFile regs;
@@ -114,7 +114,7 @@ TEST(SpuController, NestedLoopsWithTwoCounters) {
   mb.set_next(2, /*next0=*/kIdleState, /*next1=*/0);
   mb.set_cntr_reload(0, 6);
   mb.set_cntr_reload(1, 2);
-  spu.context(0) = mb.program();
+  spu.load_context(0, mb.program());
   spu.go();
 
   std::vector<uint8_t> visited;
@@ -138,7 +138,7 @@ TEST(SpuController, ReactivationIsZeroOverhead) {
   MicroBuilder mb(kConfigA);
   mb.add_straight_state();
   mb.seal_simple_loop(3);
-  spu.context(0) = mb.program();
+  spu.load_context(0, mb.program());
   for (int round = 0; round < 4; ++round) {
     spu.go();
     int steps = 0;
@@ -161,8 +161,8 @@ TEST(SpuController, ContextsAreIndependent) {
   mb1.add_straight_state();
   mb1.add_straight_state();
   mb1.seal_simple_loop(5);
-  spu.context(0) = mb0.program();
-  spu.context(1) = mb1.program();
+  spu.load_context(0, mb0.program());
+  spu.load_context(1, mb1.program());
 
   spu.select_context(1);
   spu.go();
@@ -190,7 +190,7 @@ TEST(SpuController, StopDisablesImmediately) {
   MicroBuilder mb(kConfigA);
   mb.add_straight_state();
   mb.seal_simple_loop(100);
-  spu.context(0) = mb.program();
+  spu.load_context(0, mb.program());
   spu.go();
   spu.retire(nop_inst());
   EXPECT_TRUE(spu.active());
@@ -204,7 +204,7 @@ TEST(SpuController, ActivationSkipSuppressesOneStep) {
   MicroBuilder mb(kConfigA);
   mb.add_straight_state();
   mb.seal_simple_loop(2);
-  spu.context(0) = mb.program();
+  spu.load_context(0, mb.program());
   spu.go();
   spu.arm_activation_skip();
   spu.retire(nop_inst());  // the GO store itself: no transition
@@ -218,8 +218,35 @@ TEST(SpuController, GoValidatesRoutesAgainstConfig) {
   MicroBuilder mb(kConfigA);
   mb.add_state(broadcast_route(0, 7, 3));  // byte 59: outside D's window
   mb.seal_simple_loop(1);
-  spu.context(0) = mb.program();
+  spu.load_context(0, mb.program());
   EXPECT_THROW(spu.go(), std::logic_error);
+}
+
+TEST(SpuController, LoadContextRevalidatesAtNextGo) {
+  // A context that passed validation is checked again once it is
+  // replaced: a legal program activates, an illegal one loaded over it
+  // makes the next GO throw, and a legal one restores activation.
+  Spu spu(kConfigD);
+  Route legal;
+  legal.set_operand_both_pipes(0, {{8, 9, 8, 9, 8, 9, 8, 9}});  // MM1.w0
+  MicroBuilder good(kConfigD);
+  good.add_state(legal);
+  good.seal_simple_loop(1);
+  MicroBuilder bad(kConfigA);
+  bad.add_state(broadcast_route(0, 7, 3));  // byte 59: outside D's window
+  bad.seal_simple_loop(1);
+
+  spu.load_context(0, good.program());
+  spu.go();
+  spu.stop();
+  spu.go();  // unchanged since it passed: activates again
+  spu.stop();
+  spu.load_context(0, bad.program());
+  EXPECT_THROW(spu.go(), std::logic_error);
+  EXPECT_FALSE(spu.active());
+  spu.load_context(0, good.program());
+  spu.go();
+  EXPECT_TRUE(spu.active());
 }
 
 TEST(MicroBuilder, StateExhaustionThrows) {

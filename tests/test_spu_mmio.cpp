@@ -53,10 +53,10 @@ TEST(SpuMmio, ConfigRegisterSelectsContextAndGo) {
   Spu spu(kConfigA, 4);
   SpuMmio mmio(&spu);
   // Program context 2 with a 1-state loop so GO succeeds.
-  spu.select_context(2);
-  spu.context(2).states[0].next1 = 0;
-  spu.context(2).reload[0] = 5;
-  spu.select_context(0);
+  SpuProgram loop;
+  loop.states[0].next1 = 0;
+  loop.reload[0] = 5;
+  spu.load_context(2, loop);
 
   mmio.write32(SpuMmio::kConfigReg, (2u << 1) | 1u);  // select 2 + GO
   EXPECT_EQ(spu.selected_context(), 2);
@@ -65,6 +65,88 @@ TEST(SpuMmio, ConfigRegisterSelectsContextAndGo) {
 
   mmio.write32(SpuMmio::kConfigReg, 2u << 1);  // GO clear = stop
   EXPECT_FALSE(spu.active());
+}
+
+namespace {
+
+// Writes `srcs` as the route of operand `operand` of `state`, both pipes,
+// through the MMIO route words.
+void write_operand_route(SpuMmio& mmio, int state, int operand,
+                         const std::array<uint8_t, 8>& srcs) {
+  Route r;
+  r.set_operand_both_pipes(operand, srcs);
+  const uint32_t base = SpuMmio::kStateBase +
+                        static_cast<uint32_t>(state) * SpuMmio::kStateStride;
+  for (int w = 0; w < static_cast<int>(SpuMmio::kRouteWords); ++w) {
+    mmio.write32(base + 4 + 4 * static_cast<uint32_t>(w),
+                 SpuMmio::encode_route_word(r, w));
+  }
+}
+
+}  // namespace
+
+TEST(SpuMmio, RouteWriteAfterGoIsRevalidated) {
+  // A context that passed at one GO is checked again at the next GO once
+  // a route word changed: an illegal route written through the registers
+  // cannot slip past validation because an earlier GO succeeded.
+  Spu spu(kConfigD);  // 16-bit ports, MM0..MM3 window
+  SpuMmio mmio(&spu);
+  write_operand_route(mmio, 0, 0, {{8, 9, 8, 9, 8, 9, 8, 9}});
+  mmio.write32(SpuMmio::kStateBase, 0);  // state 0: next0 = next1 = 0
+  mmio.write32(SpuMmio::kCntr0, 4);
+  mmio.write32(SpuMmio::kConfigReg, 1u);  // GO
+  EXPECT_TRUE(spu.active());
+  mmio.write32(SpuMmio::kConfigReg, 0u);  // stop
+
+  // MM7 lies outside configuration D's input window.
+  write_operand_route(mmio, 0, 0, {{56, 57, 56, 57, 56, 57, 56, 57}});
+  try {
+    mmio.write32(SpuMmio::kConfigReg, 1u);
+    ADD_FAILURE() << "GO accepted a route outside the input window";
+  } catch (const std::logic_error& e) {
+    EXPECT_EQ(std::string(e.what()).rfind(
+                  "Spu::go: microprogram violates crossbar configuration: ", 0),
+              0u)
+        << e.what();
+  }
+  EXPECT_FALSE(spu.active());
+}
+
+TEST(SpuMmio, RewrittenRouteAppliesAtNextActivation) {
+  Spu spu(kConfigA);
+  SpuMmio mmio(&spu);
+  subword::sim::MmxRegFile regs;
+  regs.write(1, subword::swar::Vec64{0x11});
+  regs.write(2, subword::swar::Vec64{0x22});
+  Inst padd;
+  padd.op = Op::Paddw;
+  padd.dst = MM0;
+  padd.src = MM3;
+
+  mmio.write32(SpuMmio::kStateBase, 0);  // state 0 loops on itself
+  mmio.write32(SpuMmio::kCntr0, 4);
+  write_operand_route(mmio, 0, 1, {{8, 8, 8, 8, 8, 8, 8, 8}});  // MM1.b0
+  mmio.write32(SpuMmio::kConfigReg, 1u);
+  subword::swar::Vec64 a{}, b{};
+  EXPECT_TRUE(spu.route(padd, subword::sim::Pipe::V, regs, &a, &b));
+  EXPECT_EQ(b.bits(), 0x1111111111111111ull);
+  mmio.write32(SpuMmio::kConfigReg, 0u);
+
+  write_operand_route(mmio, 0, 1, {{16, 16, 16, 16, 16, 16, 16, 16}});
+  mmio.write32(SpuMmio::kConfigReg, 1u);
+  b = subword::swar::Vec64{};
+  EXPECT_TRUE(spu.route(padd, subword::sim::Pipe::V, regs, &a, &b));
+  EXPECT_EQ(b.bits(), 0x2222222222222222ull);
+  mmio.write32(SpuMmio::kConfigReg, 0u);
+
+  // Rewritten to straight: the state no longer routes at all.
+  std::array<uint8_t, 8> straight{};
+  straight.fill(Route::kStraight);
+  write_operand_route(mmio, 0, 1, straight);
+  mmio.write32(SpuMmio::kConfigReg, 1u);
+  b = subword::swar::Vec64{7};
+  EXPECT_FALSE(spu.route(padd, subword::sim::Pipe::V, regs, &a, &b));
+  EXPECT_EQ(b.bits(), 7u);
 }
 
 TEST(SpuMmio, OutOfWindowAccessThrows) {
