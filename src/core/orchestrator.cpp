@@ -57,6 +57,8 @@ OrchestrationResult Orchestrator::run(const isa::Program& p) const {
   const size_t n = p.size();
   std::vector<bool> removed(n, false);
   std::vector<int> go_before(n, -1);  // old head index -> context id
+  // Per context, in id order: the MMIO word stream that programs it.
+  std::vector<std::vector<std::pair<uint32_t, uint32_t>>> context_words;
 
   // --- analyze loops and build microprograms -------------------------------
   std::vector<LoopAnalysis> chosen;
@@ -79,7 +81,7 @@ OrchestrationResult Orchestrator::run(const isa::Program& p) const {
       res.loops.push_back(rep);
       continue;
     }
-    if (static_cast<int>(res.contexts.size()) >= opts_.max_contexts) {
+    if (res.num_contexts >= opts_.max_contexts) {
       rep.note = "out of SPU contexts";
       res.loops.push_back(rep);
       continue;
@@ -108,8 +110,8 @@ OrchestrationResult Orchestrator::run(const isa::Program& p) const {
     }
     mb.seal_simple_loop(static_cast<uint32_t>(la.trip_count));
 
-    const int ctx = static_cast<int>(res.contexts.size());
-    res.contexts.push_back(mb.program());
+    const int ctx = res.num_contexts++;
+    context_words.push_back(mb.mmio_words());
     go_before[loop.head] = ctx;
     rep.context = ctx;
     rep.body_len_after = kept;
@@ -119,7 +121,7 @@ OrchestrationResult Orchestrator::run(const isa::Program& p) const {
     chosen.push_back(std::move(la));
   }
 
-  if (res.contexts.empty()) {
+  if (res.num_contexts == 0) {
     res.program = p;  // nothing to do
     return res;
   }
@@ -127,23 +129,10 @@ OrchestrationResult Orchestrator::run(const isa::Program& p) const {
   // --- prologue: program every context through the MMIO window -------------
   std::vector<Inst> out = build([&](isa::Assembler& a) {
     emit_spu_base(a, opts_.mmio_base);
-    for (size_t c = 0; c < res.contexts.size(); ++c) {
+    for (size_t c = 0; c < context_words.size(); ++c) {
       // Select context c (GO clear), then stream its words.
       emit_spu_stop(a, static_cast<int>(c));
-      MicroBuilder mb(opts_.config);
-      // Re-derive the word stream from the stored program.
-      // (MicroBuilder owns encoding; reconstruct states in order.)
-      const auto& prog = res.contexts[c];
-      int states = prog.reachable_states();
-      for (int s = 0; s < states; ++s) {
-        mb.add_state(prog.states[static_cast<size_t>(s)].route,
-                     prog.states[static_cast<size_t>(s)].cntr_sel);
-        mb.set_next(s, prog.states[static_cast<size_t>(s)].next0,
-                    prog.states[static_cast<size_t>(s)].next1);
-      }
-      mb.set_cntr_reload(0, prog.reload[0]);
-      mb.set_cntr_reload(1, prog.reload[1]);
-      emit_spu_words(a, mb.mmio_words());
+      emit_spu_words(a, context_words[c]);
     }
   });
   res.prologue_instructions = static_cast<int>(out.size());
@@ -188,7 +177,7 @@ OrchestrationReport summarize(const OrchestrationResult& r) {
   rep.removed_static = r.removed_static;
   rep.prologue_instructions = r.prologue_instructions;
   rep.go_instructions = r.go_instructions;
-  rep.contexts_used = static_cast<int>(r.contexts.size());
+  rep.contexts_used = r.num_contexts;
   rep.loops_seen = static_cast<int>(r.loops.size());
   for (const auto& l : r.loops) {
     if (l.context < 0) continue;
@@ -204,9 +193,8 @@ OrchestrationReport summarize(const OrchestrationResult& r) {
 AttachedSpu attach_spu(sim::Machine& m, const OrchestrationResult& result,
                        const OrchestratorOptions& opts) {
   AttachedSpu att;
-  const int contexts =
-      std::max<int>(1, static_cast<int>(result.contexts.size()));
-  att.spu = std::make_unique<Spu>(opts.config, contexts);
+  att.spu = std::make_unique<Spu>(opts.config,
+                                  std::max(1, result.num_contexts));
   att.mmio = std::make_unique<SpuMmio>(att.spu.get());
   m.memory().map_device(opts.mmio_base, SpuMmio::kWindowSize,
                         att.mmio.get());

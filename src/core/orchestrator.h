@@ -28,7 +28,8 @@
 //    unprovable stays in the instruction stream (see
 //    AutoOrchestration.VerifiesOnEveryKernel).
 //  * run() never mutates its input Program; the result owns a rewritten
-//    copy plus the per-context microprograms, and an OrchestrationResult
+//    copy whose prologue carries the per-context microprograms (the result
+//    keeps only their count), and an OrchestrationResult
 //    is immutable afterwards — the runtime layer shares it across threads
 //    by shared_ptr<const> without locking.
 //  * R14/R15 are reserved for the injected MMIO prologue; programs that
@@ -44,7 +45,6 @@
 #include "core/mmio.h"
 #include "core/provenance.h"
 #include "core/spu.h"
-#include "core/spu_program.h"
 #include "isa/program.h"
 #include "sim/machine.h"
 
@@ -73,7 +73,7 @@ struct LoopReport {
 
 struct OrchestrationResult {
   isa::Program program;            // transformed program
-  std::vector<SpuProgram> contexts;  // microprograms, indexed by context id
+  int num_contexts = 0;             // SPU contexts the prologue programs
   std::vector<LoopReport> loops;
   int prologue_instructions = 0;   // MMIO programming cost (instructions)
   int go_instructions = 0;         // context-select + GO stores injected

@@ -192,11 +192,11 @@ bool ColorConvertKernel::verify_bound(const sim::Memory& mem,
                                       std::span<const uint8_t> input) const {
   const auto rgb = bytes_as_i16(input);
   const auto want = ref::rgb_to_ycbcr(rgb);
-  return compare_i16(mem, kOutputAddr, want.y, name() + "/bound Y",
+  return compare_i16(mem, kOutputAddr, want.y, "Color Convert/bound Y",
                      /*log_mismatches=*/false) == 0 &&
-         compare_i16(mem, kAuxAddr, want.cb, name() + "/bound Cb",
+         compare_i16(mem, kAuxAddr, want.cb, "Color Convert/bound Cb",
                      /*log_mismatches=*/false) == 0 &&
-         compare_i16(mem, kAux2Addr, want.cr, name() + "/bound Cr",
+         compare_i16(mem, kAux2Addr, want.cr, "Color Convert/bound Cr",
                      /*log_mismatches=*/false) == 0;
 }
 

@@ -147,7 +147,7 @@ void Conv2dKernel::init_memory(sim::Memory& mem) const {
   const auto img =
       ref::make_pixels(static_cast<size_t>(kInW) * kInH, kSeedImg);
   mem.write_span<int16_t>(kInputAddr, img);
-  const auto k = Conv2dKernel::coefficients();
+  const auto& k = coefficients();
   std::vector<int16_t> bc(9 * 4);
   for (int c = 0; c < 9; ++c) {
     for (int lane = 0; lane < 4; ++lane) {
@@ -184,14 +184,17 @@ bool Conv2dKernel::verify_bound(const sim::Memory& mem,
   const auto img = bytes_as_i16(input);
   const auto want =
       ref::conv2d_3x3(img, kInW, kInH, coefficients(), kOutW, kShift);
-  return compare_i16(mem, kOutputAddr, want, name() + "/bound",
+  return compare_i16(mem, kOutputAddr, want, "2D Convolution/bound",
                      /*log_mismatches=*/false) == 0;
 }
 
-std::vector<int16_t> Conv2dKernel::coefficients() {
+const std::vector<int16_t>& Conv2dKernel::coefficients() {
   // Small signed taps: |k| <= 8 keeps every lane of the accumulation exact
-  // in 16 bits (max |sum| = 9 * 8 * 255 = 18360).
-  return ref::make_matrix(3, 3, kSeedK, /*amplitude=*/8);
+  // in 16 bits (max |sum| = 9 * 8 * 255 = 18360). A function-local static
+  // is initialised once, thread-safely.
+  static const std::vector<int16_t> taps =
+      ref::make_matrix(3, 3, kSeedK, /*amplitude=*/8);
+  return taps;
 }
 
 }  // namespace subword::kernels

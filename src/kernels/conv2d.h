@@ -49,8 +49,9 @@ class Conv2dKernel final : public MediaKernel {
       const override;
 
   // The deterministic 3x3 tap matrix (row-major). Public so pipeline
-  // consumers can compose the scalar reference end-to-end.
-  [[nodiscard]] static std::vector<int16_t> coefficients();
+  // consumers can compose the scalar reference end-to-end. It does not
+  // depend on any input, so it is built once per process.
+  [[nodiscard]] static const std::vector<int16_t>& coefficients();
 };
 
 }  // namespace subword::kernels

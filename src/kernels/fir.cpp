@@ -258,7 +258,7 @@ bool FirKernel::verify_bound(const sim::Memory& mem,
                              std::span<const uint8_t> input) const {
   const auto x = bytes_as_i16(input);
   const auto want = ref::fir(x, coeffs(), kShift);
-  return compare_i16(mem, kOutputAddr, want, name() + "/bound",
+  return compare_i16(mem, kOutputAddr, want, "FIR/bound",
                      /*log_mismatches=*/false) == 0;
 }
 

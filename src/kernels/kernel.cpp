@@ -19,7 +19,7 @@ bool MediaKernel::verify_bound(const sim::Memory& /*mem*/,
 
 int compare_i16(const sim::Memory& mem, uint64_t addr,
                 const std::vector<int16_t>& expected,
-                const std::string& what, bool log_mismatches) {
+                std::string_view what, bool log_mismatches) {
   // Lanes are stored in host order (sim::Memory), the order of `expected`.
   const std::span<const uint8_t> got = mem.bytes(addr, expected.size() * 2);
   if (expected.empty() ||
@@ -32,8 +32,9 @@ int compare_i16(const sim::Memory& mem, uint64_t addr,
     std::memcpy(&lane, got.data() + 2 * i, 2);
     if (lane != expected[i]) {
       if (log_mismatches && mismatches < 5) {
-        std::fprintf(stderr, "%s: mismatch at %zu: got %d want %d\n",
-                     what.c_str(), i, lane, expected[i]);
+        std::fprintf(stderr, "%.*s: mismatch at %zu: got %d want %d\n",
+                     static_cast<int>(what.size()), what.data(), i, lane,
+                     expected[i]);
       }
       ++mismatches;
     }

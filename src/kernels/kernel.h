@@ -12,6 +12,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/crossbar.h"
@@ -120,13 +121,15 @@ class MediaKernel {
 };
 
 // Compare a region of simulated memory against expected samples; returns
-// number of mismatches (0 = verified) and logs the first few to stderr.
-// Pass log_mismatches=false on caller-triggerable paths (verify_bound over
-// user data, where out-of-contract values are a normal outcome reported
-// through the facade's kVerificationFailed, not a simulator bug).
+// number of mismatches (0 = verified) and logs the first few to stderr,
+// labelled `what`. Pass log_mismatches=false on caller-triggerable paths
+// (verify_bound over user data, where out-of-contract values are a normal
+// outcome reported through the facade's kVerificationFailed, not a
+// simulator bug); such callers pass a literal label, since it is never
+// printed.
 [[nodiscard]] int compare_i16(const sim::Memory& mem, uint64_t addr,
                               const std::vector<int16_t>& expected,
-                              const std::string& what,
+                              std::string_view what,
                               bool log_mismatches = true);
 
 // Reinterpret caller-supplied bytes as 16-bit lanes (host byte order, the

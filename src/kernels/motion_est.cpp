@@ -210,13 +210,15 @@ bool MotionEstKernel::verify_bound(const sim::Memory& mem,
                                    std::span<const uint8_t> input) const {
   const auto want =
       ref::sad_blocks(input, candidate_blocks(), kBlockBytes, kCandidates);
-  return compare_i16(mem, kOutputAddr, want, name() + "/bound",
+  return compare_i16(mem, kOutputAddr, want, "Motion Estimation/bound",
                      /*log_mismatches=*/false) == 0;
 }
 
-std::vector<uint8_t> MotionEstKernel::candidate_blocks() {
-  return ref::make_bytes(static_cast<size_t>(kCandidates) * kBlockBytes,
-                         kSeedCand);
+const std::vector<uint8_t>& MotionEstKernel::candidate_blocks() {
+  // A function-local static is initialised once, thread-safely.
+  static const std::vector<uint8_t> blocks = ref::make_bytes(
+      static_cast<size_t>(kCandidates) * kBlockBytes, kSeedCand);
+  return blocks;
 }
 
 }  // namespace subword::kernels

@@ -48,8 +48,9 @@ class MotionEstKernel final : public MediaKernel {
       const override;
 
   // The deterministic candidate blocks (kCandidates x kBlockBytes pixels).
-  // Public so pipeline consumers can compose the scalar reference.
-  [[nodiscard]] static std::vector<uint8_t> candidate_blocks();
+  // Public so pipeline consumers can compose the scalar reference. They do
+  // not depend on any input, so they are built once per process.
+  [[nodiscard]] static const std::vector<uint8_t>& candidate_blocks();
 };
 
 }  // namespace subword::kernels

@@ -46,8 +46,7 @@ PreparedProgram prepare_spu(const MediaKernel& k, int repeats,
     core::Orchestrator orch(o);
     auto result = std::make_shared<core::OrchestrationResult>(
         orch.run(k.build_mmx(repeats)));
-    p.num_contexts =
-        std::max<int>(1, static_cast<int>(result->contexts.size()));
+    p.num_contexts = std::max(1, result->num_contexts);
     p.program = std::shared_ptr<const isa::Program>(result, &result->program);
     p.orchestration = std::move(result);
   }
@@ -133,8 +132,8 @@ KernelRun execute_prepared(const MediaKernel& k, const PreparedProgram& p,
   // Copy back only verified outputs: a failed verification must never
   // clobber the caller's buffer with divergent data.
   if (bound && out.verified && !buffers->output.empty()) {
-    const auto bytes = m->memory().read_vector<uint8_t>(spec.output_addr,
-                                                        spec.output_bytes);
+    const auto bytes =
+        m->memory().bytes(spec.output_addr, spec.output_bytes);
     std::copy(bytes.begin(), bytes.end(), buffers->output.begin());
   }
   if (spu) out.spu = spu->run_stats();
@@ -204,9 +203,9 @@ KernelRun execute_native(const MediaKernel& k, const PreparedProgram& p,
   out.stats.has_cycles = false;
   out.verified = bound_input ? k.verify_bound(*mem, buffers->input)
                              : k.verify(*mem);
+  // Copy back only verified outputs, as in execute_prepared.
   if (bound && out.verified && !buffers->output.empty()) {
-    const auto bytes =
-        mem->read_vector<uint8_t>(spec.output_addr, spec.output_bytes);
+    const auto bytes = mem->bytes(spec.output_addr, spec.output_bytes);
     std::copy(bytes.begin(), bytes.end(), buffers->output.begin());
   }
   return out;

@@ -5,7 +5,9 @@
 // accumulated with unsigned-saturating 16-bit adds (PADDUSW). For the
 // 16x16 blocks the kernel uses the sum is at most 256*255 = 65280, so the
 // saturation never engages — but the contract keeps the reference honest
-// should a future kernel enlarge the block.
+// should a future kernel enlarge the block. Because every addend is
+// non-negative, the reference sums exactly and clamps once per candidate,
+// which gives the same result as clamping after every add.
 #pragma once
 
 #include <cstddef>

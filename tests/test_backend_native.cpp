@@ -14,9 +14,11 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <latch>
 #include <memory>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "api/session.h"
@@ -99,6 +101,141 @@ void expect_bitexact(const MediaKernel& k, PreparedProgram p,
     EXPECT_EQ(sim.regs.read(static_cast<uint8_t>(r)).bits(),
               st.regs.read(static_cast<uint8_t>(r)).bits())
         << "MM" << r;
+  }
+}
+
+// -- Bound-verification oracle ------------------------------------------------
+// verify_bound is the only check a caller-bound native run gets. It
+// recomputes the reference from the bound bytes on every call; only tables
+// that depend on no input (candidate blocks, convolution taps) are built
+// once per process. These tests pin that it still accepts a correct run,
+// rejects any single flipped output bit, and gives the same answer when
+// threads race on the tables' first use.
+
+// The kernels that accept caller-bound buffers.
+const std::vector<std::string> kBufferKernels = {
+    "FIR12", "FIR22", "Color Convert", "2D Convolution", "Motion Estimation"};
+
+// A seeded in-contract input: 8-bit pixels for Motion Estimation, 16-bit
+// lanes in [0, 255] for the others.
+std::vector<uint8_t> random_bound_input(const MediaKernel& k, uint64_t seed) {
+  const kernels::BufferSpec spec = k.buffer_spec();
+  std::vector<uint8_t> in(spec.input_bytes, 0);
+  ref::Rng rng(seed);
+  if (k.name() == "Motion Estimation") {
+    for (auto& b : in) b = static_cast<uint8_t>(rng.range(0, 255));
+  } else {
+    for (size_t i = 0; i < in.size(); i += 2) {
+      const auto lane = static_cast<int16_t>(rng.range(0, 255));
+      std::memcpy(&in[i], &lane, 2);
+    }
+  }
+  return in;
+}
+
+struct BoundRun {
+  sim::Memory mem{kernels::kMemBytes};
+  std::vector<uint8_t> output;
+  bool verified = false;
+};
+
+// Prepare, lower and execute `k` natively on `input`, leaving the arena in
+// `out` for further verify_bound calls.
+void run_bound_native(const MediaKernel& k, std::span<const uint8_t> input,
+                      BoundRun& out) {
+  PreparedProgram p =
+      kernels::prepare_spu(k, 1, core::kConfigD, SpuMode::Auto);
+  kernels::lower_native(k, p);
+  out.output.assign(k.buffer_spec().output_bytes, 0);
+  kernels::BufferBinding b;
+  b.input = input;
+  b.output = out.output;
+  out.verified = kernels::execute_native(k, p, &out.mem, &b).verified;
+}
+
+// Defined first so that, in a run of the whole suite, these threads make
+// the first use of the static reference tables.
+TEST(BackendNativeOracle, ConcurrentFirstUseAgrees) {
+  constexpr int kThreads = 4;
+  struct PerThread {
+    std::vector<std::vector<uint8_t>> outputs;
+    std::vector<bool> accepted;  // verify_bound on the untouched arena
+  };
+  std::vector<PerThread> results(kThreads);
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      for (size_t i = 0; i < kBufferKernels.size(); ++i) {
+        const auto k = kernels::make_kernel(kBufferKernels[i]);
+        const auto input = random_bound_input(*k, 0x0AC1E + i);
+        BoundRun run;
+        run_bound_native(*k, input, run);
+        results[static_cast<size_t>(t)].outputs.push_back(run.output);
+        results[static_cast<size_t>(t)].accepted.push_back(
+            run.verified && k->verify_bound(run.mem, input));
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    const auto& r = results[static_cast<size_t>(t)];
+    ASSERT_EQ(r.accepted.size(), kBufferKernels.size());
+    for (size_t i = 0; i < kBufferKernels.size(); ++i) {
+      SCOPED_TRACE(kBufferKernels[i] + " thread " + std::to_string(t));
+      EXPECT_TRUE(r.accepted[i]);
+      EXPECT_EQ(r.outputs[i], results[0].outputs[i]);
+    }
+  }
+}
+
+TEST(BackendNativeOracle, BufferKernelsAreTheOnesCovered) {
+  std::vector<std::string> with_buffers;
+  for (const auto& info : kernels::kernel_infos()) {
+    if (info.buffers.supported()) with_buffers.push_back(info.name);
+  }
+  std::vector<std::string> covered = kBufferKernels;
+  std::sort(with_buffers.begin(), with_buffers.end());
+  std::sort(covered.begin(), covered.end());
+  EXPECT_EQ(with_buffers, covered);
+}
+
+TEST(BackendNativeOracle, AcceptsTheRunAndRejectsAnyFlippedOutputBit) {
+  for (size_t i = 0; i < kBufferKernels.size(); ++i) {
+    SCOPED_TRACE(kBufferKernels[i]);
+    const auto k = kernels::make_kernel(kBufferKernels[i]);
+    const kernels::BufferSpec spec = k->buffer_spec();
+    const auto input = random_bound_input(*k, 0x0BAC1E + i);
+    BoundRun run;
+    run_bound_native(*k, input, run);
+    ASSERT_TRUE(run.verified);
+    ASSERT_TRUE(k->verify_bound(run.mem, input));
+    EXPECT_EQ(run.output, run.mem.read_vector<uint8_t>(spec.output_addr,
+                                                       spec.output_bytes));
+
+    // The reference follows the bound bytes: another input's reference
+    // does not match this arena.
+    EXPECT_FALSE(k->verify_bound(run.mem, random_bound_input(*k, 0xD1FF)));
+
+    // First, last and a seeded sample of output bytes, each with one bit
+    // flipped, then restored.
+    ref::Rng rng(0xF11D + i);
+    std::vector<size_t> sample = {0, spec.output_bytes - 1};
+    for (int s = 0; s < 24; ++s) {
+      sample.push_back(static_cast<size_t>(
+          rng.range(0, static_cast<int32_t>(spec.output_bytes) - 1)));
+    }
+    for (const size_t at : sample) {
+      const uint64_t addr = spec.output_addr + at;
+      const uint8_t orig = run.mem.read8(addr);
+      const auto bit = static_cast<uint8_t>(1u << rng.range(0, 7));
+      run.mem.write8(addr, static_cast<uint8_t>(orig ^ bit));
+      EXPECT_FALSE(k->verify_bound(run.mem, input))
+          << "byte " << at << " bit mask " << static_cast<int>(bit);
+      run.mem.write8(addr, orig);
+    }
+    EXPECT_TRUE(k->verify_bound(run.mem, input));
   }
 }
 

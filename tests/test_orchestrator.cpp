@@ -317,7 +317,7 @@ TEST(Orchestrator, MultipleLoopsGetSeparateContexts) {
   OrchestratorOptions opts;
   Orchestrator orch(opts);
   const auto res = orch.run(p);
-  EXPECT_EQ(res.contexts.size(), 2u);
+  EXPECT_EQ(res.num_contexts, 2);
   int orchestrated = 0;
   for (const auto& l : res.loops) {
     if (l.context >= 0) ++orchestrated;

@@ -5,12 +5,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
+#include <vector>
 
 #include "ref/ref_dct.h"
 #include "ref/ref_fft.h"
 #include "ref/ref_fir.h"
 #include "ref/ref_iir.h"
 #include "ref/ref_mat.h"
+#include "ref/ref_sad.h"
 #include "ref/workload.h"
 
 using namespace subword::ref;
@@ -176,4 +180,59 @@ TEST(RefMat, TransposeRoundTrip) {
   const auto t = transpose(m, 16, 16);
   EXPECT_EQ(transpose(t, 16, 16), m);
   EXPECT_EQ(t[3 * 16 + 7], m[7 * 16 + 3]);
+}
+
+TEST(RefSad, HandComputedBlocks) {
+  const std::vector<uint8_t> cur = {10, 0, 255, 7};
+  const std::vector<uint8_t> cands = {
+      3, 5, 250, 7,    // 7 + 5 + 5 + 0
+      10, 0, 255, 7,   // identical block
+      0, 255, 0, 0,    // 10 + 255 + 255 + 7
+  };
+  EXPECT_EQ(sad_blocks(cur, cands, 4, 3), (std::vector<int16_t>{17, 0, 527}));
+}
+
+TEST(RefSad, SaturatesLikePaddusw) {
+  // 256 * 255 = 65280 still fits; 258 * 255 = 65790 pins at 0xFFFF.
+  for (const size_t n : {256u, 257u, 258u, 1000u}) {
+    SCOPED_TRACE(n);
+    const std::vector<uint8_t> cur(n, 255);
+    const std::vector<uint8_t> cand(n, 0);
+    const auto got = sad_blocks(cur, cand, n, 1);
+    ASSERT_EQ(got.size(), 1u);
+    const uint16_t want = n == 256 ? 65280 : 0xFFFF;
+    EXPECT_EQ(static_cast<uint16_t>(got[0]), want);
+    // Order of the operands does not matter.
+    EXPECT_EQ(sad_blocks(cand, cur, n, 1), got);
+  }
+}
+
+// The reference sums exactly and clamps once; a PADDUSW chain clamps
+// after every add. Over random blocks, some past saturation, they agree.
+TEST(RefSad, MatchesPerStepSaturatingSum) {
+  Rng rng(0x5AD);
+  int saturated = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    const auto n = static_cast<size_t>(rng.range(1, 1200));
+    const auto num_cands = static_cast<size_t>(rng.range(1, 5));
+    std::vector<uint8_t> cur(n);
+    std::vector<uint8_t> cands(n * num_cands);
+    for (auto& v : cur) v = static_cast<uint8_t>(rng.range(0, 255));
+    for (auto& v : cands) v = static_cast<uint8_t>(rng.range(0, 255));
+
+    const auto got = sad_blocks(cur, cands, n, num_cands);
+    ASSERT_EQ(got.size(), num_cands);
+    for (size_t c = 0; c < num_cands; ++c) {
+      uint32_t acc = 0;
+      for (size_t i = 0; i < n; ++i) {
+        acc += static_cast<uint32_t>(std::abs(
+            static_cast<int>(cur[i]) - static_cast<int>(cands[c * n + i])));
+        if (acc > 0xFFFFu) acc = 0xFFFFu;
+      }
+      if (acc == 0xFFFFu) ++saturated;
+      EXPECT_EQ(static_cast<uint16_t>(got[c]), acc)
+          << "trial " << trial << " candidate " << c << " n " << n;
+    }
+  }
+  EXPECT_GT(saturated, 0) << "no trial reached saturation";
 }
