@@ -10,12 +10,16 @@
 //  * the orchestration cache turns the expensive half (provenance analysis
 //    + program rewriting) into a one-time cost per unique configuration —
 //    the same shape as the SPU's MMIO prologue amortizing over loop trips.
+//
+// It also records each kernel's native trace length, the deterministic
+// measure of the native backend's work per job.
 #include <chrono>
 #include <cstdio>
 #include <span>
 #include <thread>
 #include <vector>
 
+#include "backend/native.h"
 #include "bench_common.h"
 #include "kernels/registry.h"
 #include "ref/workload.h"
@@ -203,6 +207,27 @@ int main(int argc, char** argv) {
   json.record({{"kind", BenchJson::str("backend_speedup")},
                {"execute_speedup", BenchJson::num(exec_speedup)},
                {"wall_speedup", BenchJson::num(wall_speedup)}});
+
+  // Native trace length per kernel (auto-orchestrated, config D): the ops a
+  // replay dispatches, deterministic, so the regression gate fails on any
+  // lowering change that lengthens a trace. `instructions` is the source
+  // stream the trace replaces.
+  std::printf("Native trace length — auto-orchestrated, config D:\n");
+  prof::Table nt({"kernel", "trace ops", "source instructions"});
+  for (const auto& k : kernels::all_kernels()) {
+    auto p = kernels::prepare_spu(*k, 1, core::kConfigD,
+                                  kernels::SpuMode::Auto);
+    kernels::lower_native(*k, p);
+    const auto ops = static_cast<uint64_t>(p.native->ops.size());
+    nt.add_row({k->name(), std::to_string(ops),
+                std::to_string(p.native->source_instructions)});
+    json.record({{"kind", BenchJson::str("native_trace")},
+                 {"kernel", BenchJson::str(k->name())},
+                 {"trace_ops", BenchJson::num(ops)},
+                 {"instructions",
+                  BenchJson::num(p.native->source_instructions)}});
+  }
+  std::printf("%s\n", nt.render().c_str());
 
   // -- Frame tiling: ONE request sharded across the engine -------------------
   // A 1080p interleaved-RGB frame (2,073,600 pixels in 16-bit lanes) cut by

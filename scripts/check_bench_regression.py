@@ -8,8 +8,9 @@ Every BENCH_*.json present in <baseline_dir> must exist in <current_dir>;
 records are matched by their identity fields (kind/kernel/backend/...).
 Metrics fall into two classes:
 
-  * deterministic — simulated cycle counts, instruction counts, cache
-    hit/miss counts and anything derived purely from them. These are
+  * deterministic — simulated cycle counts, instruction counts, native
+    trace lengths (trace_ops), cache hit/miss counts and anything derived
+    purely from them. These are
     bit-reproducible across machines, so any regression beyond the
     threshold FAILS the job.
   * wall-clock — *_ms, *_us latency percentiles, jobs_per_s, throughput,
@@ -49,6 +50,7 @@ METRIC_RULES = [
     ("busy", True, False),
     ("routed", True, True),        # routed operands replace permutations
     ("instructions", True, False),
+    ("trace_ops", True, False),    # native ops a replay dispatches
     # Service soak: admission / divergence counts are deterministic for a
     # fixed (connections, requests, probes) invocation and gate hard;
     # latency percentiles and throughput are wall-clock like every *_ms.

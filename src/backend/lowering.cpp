@@ -175,12 +175,7 @@ class Walker {
       // The plan also depends on the register a straight byte falls back to.
       key[core::kOperandBytes] = operand == 0 ? in.dst : in.src;
       auto [it, fresh] = gather_ids_.try_emplace(key, 0);
-      if (fresh) {
-        if (trace_.gathers.size() >= 0xFFFF) {
-          bail("more than 65535 distinct crossbar gathers");
-        }
-        it->second = append_gather(trace_, r, operand, key.back());
-      }
+      if (fresh) it->second = append_gather(trace_, r, operand, key.back());
       ids[static_cast<size_t>(operand)] = it->second;
     }
     return ids;
@@ -500,7 +495,9 @@ class Walker {
 NativeTrace lower(const isa::Program& program, const LoweringSpec& spec) {
   if (program.empty()) throw LoweringError("empty program");
   Walker w(program, spec);
-  return w.run();
+  NativeTrace t = w.run();
+  optimize_trace(t);
+  return t;
 }
 
 void set_lowering_fault_injection(bool enabled) {

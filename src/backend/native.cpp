@@ -15,12 +15,27 @@ using isa::Op;
 using swar::Vec64;
 using Code = NativeOp::Code;
 
-// Gather plans address the register file as the SPU register does, byte 0
-// of MM0 first: its in-memory order on a little-endian host.
+// ALU register operands and gather plans address the register file by
+// byte, as the SPU register does, byte 0 of MM0 first: its in-memory order
+// on a little-endian host.
 static_assert(std::endian::native == std::endian::little);
 static_assert(sizeof(sim::MmxRegFile) == isa::kNumMmxRegs * 8);
 
 namespace {
+
+// The ALU codes: one per op from kFirstAlu on, then the routed ones.
+constexpr auto kFirstAlu =
+    static_cast<uint8_t>(static_cast<uint8_t>(Code::kMmxFromGp) + 1);
+#define SUBWORD_ALU_COUNT(name, result) +1
+constexpr uint8_t kAluOps = 0 SUBWORD_MMX_ALU_OPS(SUBWORD_ALU_COUNT);
+#undef SUBWORD_ALU_COUNT
+static_assert(kFirstAlu + 2 * kAluOps <= 256, "codes fit the code byte");
+
+constexpr uint8_t kGathered = NativeOp::kAGather | NativeOp::kBGather;
+
+bool is_routed(Code c) {
+  return static_cast<uint8_t>(c) >= kFirstAlu + kAluOps;
+}
 
 template <typename T>
 T load(const uint8_t* m, uint32_t addr) {
@@ -40,14 +55,15 @@ uint64_t sext(T v) {
   return static_cast<uint64_t>(static_cast<int64_t>(v));
 }
 
-Vec64 gather(const GatherPlan& g, const uint8_t* regs) {
+Vec64 gather(const GatherPlan& g, const Vec64* mm) {
   uint64_t v = 0;
-  for (int i = 0; i < core::kOperandBytes; ++i) {
-    v |= uint64_t{regs[g.src[static_cast<size_t>(i)]]} << (8 * i);
+  for (int i = 0; i < g.runs; ++i) {
+    const GatherPlan::Run& r = g.run[static_cast<size_t>(i)];
+    const uint64_t x = std::rotl(mm[r.reg].bits(), r.rot) & r.keep;
+    // x's highest byte is the run's last: x >> sign_bit is its sign bit.
+    v |= x | (r.sign & (0 - (x >> r.sign_bit)));
   }
-  // A sign byte's src names the byte whose sign it copies.
-  const uint64_t fill = ((v & g.sign & 0x8080808080808080ull) >> 7) * 0xFF;
-  return Vec64{(v & g.keep) | fill};
+  return Vec64{v};
 }
 
 uint8_t mmx_reg(uint8_t r) {
@@ -104,10 +120,15 @@ void run_trace(const NativeTrace& t, NativeState& st) {
   const auto* const regs = reinterpret_cast<const uint8_t*>(mm);
   uint64_t* const gp = st.gp.data();
   const GatherPlan* const gathers = t.gathers.data();
-  // Operand value of a routed op: the gather plan `id` (1-based), or the
-  // named register's value when the operand is not routed (id 0).
-  const auto routed = [&](uint32_t id, Vec64 named) {
-    return id == 0 ? named : gather(gathers[id - 1], regs);
+  // ALU operands (NativeOp::arg, NativeOp::imm): a register-file byte
+  // offset, an arena address, or a gather plan index.
+  const auto direct = [&](bool in_arena, uint64_t at) {
+    return Vec64{
+        load<uint64_t>(in_arena ? m : regs, static_cast<uint32_t>(at))};
+  };
+  const auto routed = [&](bool gathered, uint64_t at) {
+    return gathered ? gather(gathers[at], mm)
+                    : Vec64{load<uint64_t>(regs, static_cast<uint32_t>(at))};
   };
 
   for (const NativeOp& op : t.ops) {
@@ -163,25 +184,27 @@ void run_trace(const NativeTrace& t, NativeState& st) {
         mm[op.dst] = Vec64{gp[op.src] & 0xFFFFFFFFull};
         break;
 
-      // MMX data ops. A routed op gathers both operands from the register
-      // file before writing; shift counts come from the post-route operand,
-      // exactly as the simulator computes them (sim/machine.cpp).
-#define SUBWORD_ALU_CASE(name, result)                                     \
-  case Code::k##name: {                                                    \
-    [[maybe_unused]] const Vec64 a = mm[op.dst];                           \
-    const Vec64 b = mm[op.src];                                            \
-    [[maybe_unused]] const uint64_t count =                                \
-        (op.flags & NativeOp::kCountImm) != 0 ? op.imm : b.bits();         \
-    mm[op.dst] = result;                                                   \
-    break;                                                                 \
-  }                                                                        \
-  case Code::k##name##Routed: {                                            \
-    [[maybe_unused]] const Vec64 a = routed(op.arg & 0xFFFF, mm[op.dst]);  \
-    const Vec64 b = routed(op.arg >> 16, mm[op.src]);                      \
-    [[maybe_unused]] const uint64_t count =                                \
-        (op.flags & NativeOp::kCountImm) != 0 ? op.imm : b.bits();         \
-    mm[op.dst] = result;                                                   \
-    break;                                                                 \
+      // MMX data ops. Both operands are read before the result is
+      // written; shift counts come from the post-route operand, exactly as
+      // the simulator computes them (sim/machine.cpp).
+#define SUBWORD_ALU_CASE(name, result)                                        \
+  case Code::k##name: {                                                       \
+    [[maybe_unused]] const Vec64 a =                                          \
+        direct((op.flags & NativeOp::kAMem) != 0, op.arg);                    \
+    const Vec64 b = direct((op.flags & NativeOp::kBMem) != 0, op.imm);        \
+    [[maybe_unused]] const uint64_t count =                                   \
+        (op.flags & NativeOp::kCountImm) != 0 ? op.src : b.bits();            \
+    mm[op.dst] = result;                                                      \
+    break;                                                                    \
+  }                                                                           \
+  case Code::k##name##Routed: {                                               \
+    [[maybe_unused]] const Vec64 a =                                          \
+        routed((op.flags & NativeOp::kAGather) != 0, op.arg);                 \
+    const Vec64 b = routed((op.flags & NativeOp::kBGather) != 0, op.imm);     \
+    [[maybe_unused]] const uint64_t count =                                   \
+        (op.flags & NativeOp::kCountImm) != 0 ? op.src : b.bits();            \
+    mm[op.dst] = result;                                                      \
+    break;                                                                    \
   }
       SUBWORD_MMX_ALU_OPS(SUBWORD_ALU_CASE)
 #undef SUBWORD_ALU_CASE
@@ -189,24 +212,181 @@ void run_trace(const NativeTrace& t, NativeState& st) {
   }
 }
 
+void optimize_trace(NativeTrace& t) {
+  // Per gather plan: the registers it reads, and the one register it
+  // copies whole (-1 when it is not such a copy).
+  std::vector<uint8_t> gather_reads(t.gathers.size(), 0);
+  std::vector<int> copy_of(t.gathers.size(), -1);
+  for (size_t g = 0; g < t.gathers.size(); ++g) {
+    const GatherPlan& plan = t.gathers[g];
+    for (int i = 0; i < plan.runs; ++i) {
+      gather_reads[g] |= static_cast<uint8_t>(
+          1u << plan.run[static_cast<size_t>(i)].reg);
+    }
+    if (plan.runs == 1 && plan.run[0].keep == ~uint64_t{0}) {
+      copy_of[g] = plan.run[0].reg;
+    }
+  }
+
+  // What the sweep knows of each MMX register's value, one bit per
+  // register: a kLoad64 set it (`load` and `addr` say which), a store has
+  // touched those bytes since, or it was read other than as an unrouted
+  // ALU operand. `readers` lists the unrouted ALU ops that read it: op
+  // index and the flag (kAMem or kBMem) that makes the operand a memory
+  // read.
+  unsigned loaded = 0;
+  unsigned clobbered = 0;
+  unsigned blocked = 0;
+  std::array<size_t, isa::kNumMmxRegs> load{};
+  std::array<uint32_t, isa::kNumMmxRegs> addr{};
+  std::array<std::vector<std::pair<size_t, uint8_t>>, isa::kNumMmxRegs>
+      readers;
+  std::vector<uint8_t> dropped(t.ops.size(), 0);
+  // Register r is overwritten: drop the load that set it if every read of
+  // its value can take the arena bytes instead.
+  const auto overwrite = [&](uint8_t r) {
+    const unsigned bit = 1u << r;
+    if ((loaded & bit) != 0) {
+      if ((blocked & bit) == 0) {
+        for (const auto& [i, mem_flag] : readers[r]) {
+          NativeOp& op = t.ops[i];
+          op.flags |= mem_flag;
+          if (mem_flag == NativeOp::kAMem) {
+            op.arg = addr[r];
+          } else {
+            op.imm = addr[r];
+          }
+        }
+        dropped[load[r]] = 1;
+      }
+      readers[r].clear();
+    }
+    loaded &= ~bit;
+    clobbered &= ~bit;
+    blocked &= ~bit;
+  };
+  const auto read_operand = [&](size_t i, uint64_t offset, uint8_t mem_flag) {
+    const auto r = static_cast<size_t>(offset / 8);
+    const unsigned bit = 1u << r;
+    if ((loaded & bit) == 0) return;
+    if ((clobbered & bit) != 0) {
+      blocked |= bit;
+    } else {
+      readers[r].emplace_back(i, mem_flag);
+    }
+  };
+  const auto store = [&](uint32_t at, uint32_t len) {
+    for (unsigned m = loaded; m != 0; m &= m - 1) {
+      const auto r = static_cast<size_t>(std::countr_zero(m));
+      if (at < addr[r] + 8 && addr[r] < at + len) clobbered |= 1u << r;
+    }
+  };
+
+  for (size_t i = 0; i < t.ops.size(); ++i) {
+    NativeOp& op = t.ops[i];
+    if (static_cast<uint8_t>(op.code) >= kFirstAlu) {
+      // Route -> rename.
+      if ((op.flags & NativeOp::kAGather) != 0 && copy_of[op.arg] >= 0) {
+        op.arg = 8u * static_cast<uint32_t>(copy_of[op.arg]);
+        op.flags &= static_cast<uint8_t>(~NativeOp::kAGather);
+      }
+      if ((op.flags & NativeOp::kBGather) != 0 && copy_of[op.imm] >= 0) {
+        op.imm = 8u * static_cast<uint64_t>(copy_of[op.imm]);
+        op.flags &= static_cast<uint8_t>(~NativeOp::kBGather);
+      }
+      const bool reads_b = (op.flags & NativeOp::kCountImm) == 0;
+      if (is_routed(op.code) && (op.flags & kGathered) == 0) {
+        op.code = static_cast<Code>(static_cast<uint8_t>(op.code) - kAluOps);
+      }
+      if (is_routed(op.code)) {
+        const auto reads = [&](bool gathered, uint64_t at) -> unsigned {
+          return gathered ? gather_reads[at] : 1u << (at / 8);
+        };
+        blocked |= reads((op.flags & NativeOp::kAGather) != 0, op.arg);
+        if (reads_b) {
+          blocked |= reads((op.flags & NativeOp::kBGather) != 0, op.imm);
+        }
+      } else {
+        if ((op.flags & NativeOp::kAMem) == 0) {
+          read_operand(i, op.arg, NativeOp::kAMem);
+        }
+        if (reads_b && (op.flags & NativeOp::kBMem) == 0) {
+          read_operand(i, op.imm, NativeOp::kBMem);
+        }
+      }
+      overwrite(op.dst);
+      continue;
+    }
+    switch (op.code) {
+      case Code::kLoad64:
+        overwrite(op.dst);
+        loaded |= 1u << op.dst;
+        load[op.dst] = i;
+        addr[op.dst] = op.arg;
+        break;
+      case Code::kLoad32:
+      case Code::kSetImm:
+      case Code::kMmxFromGp:
+        overwrite(op.dst);
+        break;
+      case Code::kStore64:
+        blocked |= 1u << op.src;
+        store(op.arg, 8);
+        break;
+      case Code::kStore32:
+        blocked |= 1u << op.src;
+        store(op.arg, 4);
+        break;
+      case Code::kGpFromMmx:
+        blocked |= 1u << op.src;
+        break;
+      case Code::kSStore16:
+      case Code::kGpStore16:
+        store(op.arg, 2);
+        break;
+      case Code::kSStore32:
+      case Code::kGpStore32:
+        store(op.arg, 4);
+        break;
+      case Code::kSStore64:
+      case Code::kGpStore64:
+        store(op.arg, 8);
+        break;
+      default:  // GP plane
+        break;
+    }
+  }
+  // The end of the trace reads every register: loads still live stay.
+  size_t kept = 0;
+  for (size_t i = 0; i < t.ops.size(); ++i) {
+    t.ops[kept] = t.ops[i];
+    kept += dropped[i] == 0;
+  }
+  t.ops.resize(kept);
+}
+
 uint32_t append_gather(NativeTrace& t, const core::Route& r, int operand,
                        uint8_t reg) {
   GatherPlan g;
   const int off = core::bus_offset(sim::Pipe::U, operand);
-  // Register byte of the nearest earlier output byte that was copied, or -1
-  // when that byte was zeroed (or there is none): a sign fill then reads 0.
+  // Register-file byte of the nearest earlier output byte that was copied,
+  // or -1 when that byte was zeroed (or there is none): a sign fill then
+  // reads 0. `run` is the run output byte i - 1 belongs to, if it was
+  // copied.
   int prev = -1;
+  GatherPlan::Run* run = nullptr;
   for (int i = 0; i < core::kOperandBytes; ++i) {
     const uint8_t s = r.sel[static_cast<size_t>(off + i)];
     const uint64_t lane = uint64_t{0xFF} << (8 * i);
     if (s == core::Route::kZero) {
       prev = -1;
+      run = nullptr;
       continue;
     }
     if (s == core::Route::kSignExtend) {
-      if (prev < 0) continue;
-      g.src[static_cast<size_t>(i)] = static_cast<uint8_t>(prev);
-      g.sign |= lane;
+      // The byte at prev ends the latest run.
+      if (prev >= 0) g.run[g.runs - 1u].sign |= lane;
+      run = nullptr;
       continue;
     }
     const int byte = s == core::Route::kStraight ? mmx_reg(reg) * 8 + i : s;
@@ -214,8 +394,13 @@ uint32_t append_gather(NativeTrace& t, const core::Route& r, int operand,
       throw std::logic_error("append_gather: selector " + std::to_string(s) +
                              " outside the register file");
     }
-    g.src[static_cast<size_t>(i)] = static_cast<uint8_t>(byte);
-    g.keep |= lane;
+    if (run == nullptr || byte != prev + 1 || byte % 8 == 0) {
+      run = &g.run[g.runs++];
+      run->reg = static_cast<uint8_t>(byte / 8);
+      run->rot = static_cast<uint8_t>((8 * (i - byte % 8)) & 63);
+    }
+    run->keep |= lane;
+    run->sign_bit = static_cast<uint8_t>(8 * i + 7);
     prev = byte;
   }
   t.gathers.push_back(g);
@@ -338,25 +523,33 @@ void append_mmx_from_gp(NativeTrace& t, uint8_t mm_dst, uint8_t gp_src) {
 
 void append_alu(NativeTrace& t, const isa::Inst& in, uint32_t gather_a,
                 uint32_t gather_b) {
-  Code code;
-  const bool routed_op = gather_a != 0 || gather_b != 0;
+  if (std::max(gather_a, gather_b) > t.gathers.size()) {
+    throw std::logic_error("append_alu: gather index out of range");
+  }
+  NativeOp op;
+  op.dst = mmx_reg(in.dst);
+  op.arg = gather_a != 0 ? gather_a - 1 : 8u * op.dst;
+  op.flags = gather_a != 0 ? NativeOp::kAGather : 0;
+  if (in.src_is_imm) {
+    // The count replaces operand b, which reads MM0 unused.
+    op.src = in.imm8;
+    op.flags |= NativeOp::kCountImm;
+  } else {
+    op.imm = gather_b != 0 ? gather_b - 1 : 8u * mmx_reg(in.src);
+    if (gather_b != 0) op.flags |= NativeOp::kBGather;
+  }
+  const bool routed_op = (op.flags & kGathered) != 0;
   switch (in.op) {
-#define SUBWORD_ALU_CASE(name, result)                       \
-  case Op::name:                                             \
-    code = routed_op ? Code::k##name##Routed : Code::k##name; \
+#define SUBWORD_ALU_CASE(name, result)                          \
+  case Op::name:                                                \
+    op.code = routed_op ? Code::k##name##Routed : Code::k##name; \
     break;
     SUBWORD_MMX_ALU_OPS(SUBWORD_ALU_CASE)
 #undef SUBWORD_ALU_CASE
     default:
       throw std::logic_error("append_alu: opcode has no ALU semantics");
   }
-  if (gather_a > 0xFFFF || gather_b > 0xFFFF ||
-      std::max(gather_a, gather_b) > t.gathers.size()) {
-    throw std::logic_error("append_alu: gather index out of range");
-  }
-  push(t, code, mmx_reg(in.dst), mmx_reg(in.src),
-       in.src_is_imm ? in.imm8 : 0, gather_a | gather_b << 16,
-       in.src_is_imm ? NativeOp::kCountImm : 0);
+  t.ops.push_back(op);
 }
 
 }  // namespace subword::backend

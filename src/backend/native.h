@@ -13,6 +13,9 @@
 // branch-predictor modeling, no stats bookkeeping, no per-op bounds check
 // or page marking. Crossbar routes replay as gather plans: each routed
 // operand's byte selection, resolved to register-file bytes at lowering.
+// The last lowering step, optimize_trace, rewrites the trace into a
+// shorter equivalent one: whole-register routes become register reads and
+// loads whose only readers are ALU ops become memory operands.
 //
 // Invariants:
 //  * A NativeTrace is immutable after lowering and safe to replay
@@ -52,14 +55,24 @@ struct NativeState {
 };
 
 // One routed operand, resolved at lowering time against the op's own
-// registers: output byte i is byte src[i] of the MMX register file (the
-// SPU register's byte addressing; a straight byte names the operand's own
-// register). Bytes in `keep` take that byte, bytes in `sign` take its sign
-// fill (Route::kSignExtend), all other bytes are zero (Route::kZero).
+// registers. Output byte i is byte src[i] of the MMX register file (the SPU
+// register's byte addressing; a straight byte names the operand's own
+// register), its sign fill (Route::kSignExtend), or zero (Route::kZero).
+// The copied bytes are grouped into runs: consecutive output bytes taken
+// from consecutive bytes of one register. A run is one register read, a
+// rotate and a mask, so a replay never reads outside the register file.
 struct GatherPlan {
-  std::array<uint8_t, core::kOperandBytes> src{};
-  uint64_t keep = 0;  // 0xFF in each byte copied from the register file
-  uint64_t sign = 0;  // 0xFF in each sign-filled byte
+  struct Run {
+    uint64_t keep = 0;  // 0xFF in each output byte the run copies
+    // 0xFF in each sign-filled byte after the run: they copy the sign of
+    // the run's last byte, whose top bit is bit `sign_bit` of the output.
+    uint64_t sign = 0;
+    uint8_t reg = 0;       // source MMX register
+    uint8_t rot = 0;       // left-rotate (bits) placing its bytes
+    uint8_t sign_bit = 0;
+  };
+  uint8_t runs = 0;  // used entries of `run`; no runs reads as zero
+  std::array<Run, core::kOperandBytes> run{};
 };
 
 // One pre-decoded operation: a code byte selecting the replay case and its
@@ -74,7 +87,8 @@ struct NativeOp {
     kGpAddi, kGpSubi, kGpShli, kGpShri, kGpSrai,
     kGpLoad16, kGpLoad32, kGpLoad64, kGpStore16, kGpStore32, kGpStore64,
     kGpFromMmx, kMmxFromGp,
-    // One code per MMX data op, then the same ops with routed operands.
+    // One code per MMX data op, then the same ops with at least one
+    // operand gathered through a crossbar route.
 #define SUBWORD_ALU_CODE(name, result) k##name,
     SUBWORD_MMX_ALU_OPS(SUBWORD_ALU_CODE)
 #undef SUBWORD_ALU_CODE
@@ -83,18 +97,25 @@ struct NativeOp {
 #undef SUBWORD_ALU_CODE
   };
 
-  // ALU ops: the shift count is `imm` rather than operand b.
-  static constexpr uint8_t kCountImm = 1;
+  // ALU op flags. Operand a is `arg` and operand b is `imm`: a byte
+  // offset into the MMX register file (8 * register), an arena address
+  // (kAMem / kBMem, unrouted codes only) or a NativeTrace::gathers index
+  // (kAGather / kBGather, routed codes only).
+  static constexpr uint8_t kCountImm = 1;  // shift count is `src`, not b
+  static constexpr uint8_t kAMem = 2;
+  static constexpr uint8_t kBMem = 4;
+  static constexpr uint8_t kAGather = 8;
+  static constexpr uint8_t kBGather = 16;
 
   // Set-immediate / scalar-store value, GP immediate or shift amount, or
-  // an ALU op's immediate shift count.
+  // an ALU op's operand b.
   uint64_t imm = 0;
-  // Loads and stores: the arena address. Routed ALU ops: the 1-based
-  // NativeTrace::gathers index of operand a in the low half and of
-  // operand b in the high half, 0 for an operand that is not routed.
+  // Loads and stores: the arena address. ALU ops: operand a.
   uint32_t arg = 0;
   Code code = Code::kSetImm;
   uint8_t dst = 0;
+  // Stores and GP ops: the source register. ALU ops: the immediate shift
+  // count (kCountImm).
   uint8_t src = 0;
   uint8_t flags = 0;
 };
@@ -132,6 +153,21 @@ struct NativeTrace {
 // anything, when st.mem is not an arena of t.image.size bytes or a device
 // window overlaps the trace's span.
 void run_trace(const NativeTrace& t, NativeState& st);
+
+// Rewrite `t` into an equivalent trace with fewer ops; backend::lower()
+// ends with it. Replaying the result leaves the arena, MMX and GP
+// registers byte-identical to replaying `t`, for any arena contents: the
+// pass moves where operands are read from and never evaluates data.
+//  * A routed operand whose gather copies one whole register becomes a
+//    read of that register; an op left with no gathered operand becomes
+//    unrouted.
+//  * A kLoad64 is dropped, and each of its readers reads the 8 arena bytes
+//    itself, when its register is overwritten before the trace ends (the
+//    end reads every register), every read of the loaded value is an
+//    operand of an unrouted ALU op, and no store touches those bytes
+//    before the last such read.
+// One forward sweep; span, image and written pages are unchanged.
+void optimize_trace(NativeTrace& t);
 
 // -- Lowering building blocks (used by lowering.cpp; exposed for tests) ------
 

@@ -1,5 +1,7 @@
 #include "kernels/color_convert.h"
 
+#include <cstring>
+
 #include "isa/assembler.h"
 #include "kernels/spu_util.h"
 #include "ref/ref_color.h"
@@ -190,14 +192,27 @@ BufferSpec ColorConvertKernel::buffer_spec() const {
 
 bool ColorConvertKernel::verify_bound(const sim::Memory& mem,
                                       std::span<const uint8_t> input) const {
-  const auto rgb = bytes_as_i16(input);
-  const auto want = ref::rgb_to_ycbcr(rgb);
-  return compare_i16(mem, kOutputAddr, want.y, "Color Convert/bound Y",
-                     /*log_mismatches=*/false) == 0 &&
-         compare_i16(mem, kAuxAddr, want.cb, "Color Convert/bound Cb",
-                     /*log_mismatches=*/false) == 0 &&
-         compare_i16(mem, kAux2Addr, want.cr, "Color Convert/bound Cr",
-                     /*log_mismatches=*/false) == 0;
+  // Each pixel's Y/Cb/Cr, recomputed from the bound bytes and compared
+  // with the arena in place.
+  const size_t n = input.size() / 6;
+  const uint8_t* const y = mem.bytes(kOutputAddr, 2 * n).data();
+  const uint8_t* const cb = mem.bytes(kAuxAddr, 2 * n).data();
+  const uint8_t* const cr = mem.bytes(kAux2Addr, 2 * n).data();
+  const auto lane = [](const uint8_t* p, size_t i) {
+    int16_t v;
+    std::memcpy(&v, p + 2 * i, 2);
+    return v;
+  };
+  for (size_t i = 0; i < n; ++i) {
+    const uint8_t* const px = input.data() + 6 * i;
+    const ref::YCbCr want =
+        ref::rgb_to_ycbcr(lane(px, 0), lane(px, 1), lane(px, 2));
+    if (lane(y, i) != want.y || lane(cb, i) != want.cb ||
+        lane(cr, i) != want.cr) {
+      return false;
+    }
+  }
+  return true;
 }
 
 }  // namespace subword::kernels

@@ -9,17 +9,10 @@ YCbCrPlanes rgb_to_ycbcr(std::span<const int16_t> rgb) {
   out.cb.resize(n);
   out.cr.resize(n);
   for (size_t i = 0; i < n; ++i) {
-    const int r = rgb[3 * i + 0];
-    const int g = rgb[3 * i + 1];
-    const int b = rgb[3 * i + 2];
-    // Luma: an unsigned 16-bit sum, rounded, logical shift.
-    const int y = (77 * r + 150 * g + 29 * b + 128) >> 8;
-    // Chroma: signed 16-bit sums, truncating arithmetic shift, +128 bias.
-    const int cb = ((-43 * r - 85 * g + 128 * b) >> 8) + 128;
-    const int cr = ((128 * r - 107 * g - 21 * b) >> 8) + 128;
-    out.y[i] = static_cast<int16_t>(y);
-    out.cb[i] = static_cast<int16_t>(cb);
-    out.cr[i] = static_cast<int16_t>(cr);
+    const YCbCr p = rgb_to_ycbcr(rgb[3 * i], rgb[3 * i + 1], rgb[3 * i + 2]);
+    out.y[i] = p.y;
+    out.cb[i] = p.cb;
+    out.cr[i] = p.cr;
   }
   return out;
 }

@@ -19,6 +19,23 @@
 
 namespace subword::ref {
 
+struct YCbCr {
+  int16_t y;
+  int16_t cb;
+  int16_t cr;
+};
+
+// One pixel of the conversion.
+[[nodiscard]] constexpr YCbCr rgb_to_ycbcr(int r, int g, int b) {
+  // Luma: an unsigned 16-bit sum, rounded, logical shift.
+  const int y = (77 * r + 150 * g + 29 * b + 128) >> 8;
+  // Chroma: signed 16-bit sums, truncating arithmetic shift, +128 bias.
+  const int cb = ((-43 * r - 85 * g + 128 * b) >> 8) + 128;
+  const int cr = ((128 * r - 107 * g - 21 * b) >> 8) + 128;
+  return {static_cast<int16_t>(y), static_cast<int16_t>(cb),
+          static_cast<int16_t>(cr)};
+}
+
 struct YCbCrPlanes {
   std::vector<int16_t> y;
   std::vector<int16_t> cb;
